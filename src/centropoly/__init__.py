@@ -32,7 +32,6 @@ from .duality import (
     reframed_dual,
 )
 from .invariants import (
-    FeatureReport,
     FocalPoint,
     FramedPolygon,
     InvariantBundle,
@@ -42,7 +41,6 @@ from .invariants import (
     curvature_b,
     delta,
     ev_natural_field,
-    feature_report,
     flattening_nodes,
     focal_points,
     invariant_bundle,
@@ -73,6 +71,7 @@ from .pedal import (
     planar_vertices,
     radial_projection,
     unpedal,
+    vertical_field,
 )
 from .generators import (
     GenConfig,

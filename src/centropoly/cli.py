@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .documents import (
     VerificationReport,
     document_to_framed,
     dump_json,
+    framed_to_document,
     load_document,
     parse_planar_document,
     parse_polygon_document,
@@ -29,6 +29,7 @@ from .duality import (
     dual_of_dual,
     dual_pair,
     dual_vertex_edges,
+    involution_error,
 )
 from .errors import (
     GenerationFailed,
@@ -61,9 +62,15 @@ from .invariants import (
     lambda_coeff,
     vertex_edges,
 )
-from .pedal import cylindrical_pedal, dual_planar_parts, is_convex, is_exact, planar_vertices, unpedal
-
-_E3 = np.array([0.0, 0.0, 1.0])
+from .pedal import (
+    E3,
+    cylindrical_pedal,
+    dual_planar_parts,
+    is_convex,
+    planar_vertices,
+    unpedal,
+    vertical_field,
+)
 
 
 def _edge(values) -> dict:
@@ -145,12 +152,11 @@ def cmd_dual(args, tol: ToleranceConfig) -> int:
     }
     status = 0
     if args.roundtrip:
-        back = dual_of_dual(D, tol)
-        scale = max(1.0, float(np.max(np.abs(P.X.values))))
-        err = float(np.max(np.abs(back.X.values - P.X.values))) / scale
-        uscale = max(1.0, float(np.max(np.abs(P.U.values))))
-        err = max(err, float(np.max(np.abs(back.U.values - P.U.values))) / uscale)
-        out["roundtrip_error"] = err
+        try:
+            back = dual_of_dual(D, tol)
+        except GeometryError as exc:  # dualizing back failed its own check
+            return _fail(exc, 1)
+        out["roundtrip_error"] = err = involution_error(P, back)
         if err > tol.tol_residual:
             status = 1
     print(dump_json(out))
@@ -163,7 +169,7 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
         doc = parse_polygon_document(raw)
         nodes = NodeSeq(doc.nodes)
         if doc.field is None:
-            E = _E3
+            E = E3
         else:
             shifted = FramedPolygon(nodes, NodeSeq(doc.field))
             constant, _ = is_constant_curvature(shifted, tol)
@@ -186,7 +192,7 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
     out = {
         "n": pp.n,
         "nodes": result.Y.values.tolist(),
-        "field": np.tile(_E3, (pp.n, 1)).tolist(),
+        "field": vertical_field(pp.n).values.tolist(),
         "origin": [0.0, 0.0, 0.0],
         "indexing": "edge",
     }
@@ -212,85 +218,82 @@ def cmd_generate(args, tol: ToleranceConfig) -> int:
         return 0
     if args.kind == "radial":
         inst = random_radial_instance(cfg, tol)
-        P = FramedPolygon(inst.X, NodeSeq(np.tile(_E3, (cfg.n, 1))))
+        P = FramedPolygon(inst.X, vertical_field(cfg.n))
     elif args.kind == "framed":
         P = random_framed_polygon(cfg, tol)
     else:  # equal-volume
         X, U = random_equal_volume_polygon(cfg, tol)
         P = FramedPolygon(X, U)
-    out = {
-        "n": P.n,
-        "nodes": P.X.values.tolist(),
-        "field": P.U.values.tolist(),
-        "origin": P.origin.tolist(),
-        "indexing": "node",
-    }
-    print(dump_json(out))
+    print(dump_json(framed_to_document(P)))
     return 0
 
 
-_VERIFY_CHECKS = (
-    "flattening_count",
-    "flattening_vertex_sets",
-    "coplanarity_concurrency",
-    "duality_involution",
-    "dual_volume_identities",
-    "delta_lambda_identity",
-    "dual_projection_convex",
-    "planar_vertices_match",
-    "sigma_constant",
-)
+def _verify_battery(P: FramedPolygon, tol: ToleranceConfig, sigma_ref: int | None):
+    """The checks of one instance as (name, check) pairs, in running order.
 
+    A check returns (ok, residual) and may raise GeometryError.  What several
+    checks share is computed once, by the first check that needs it, and kept
+    in ``got``: the flattening set, the dual pair, its report and its planar
+    parts.
+    """
+    got: dict = {}
 
-def _verify_instance(P: FramedPolygon, inst, tol: ToleranceConfig, sigma_ref: int | None):
-    """Run the per-instance check battery; yields (name, ok, residual) triples."""
-    results = []
-    flats = flattening_nodes(P, tol)
-    count = len(flats)
-    results.append(("flattening_count", count >= 4 and count % 2 == 0, float(count)))
+    def flattening_count():
+        got["flats"] = flats = flattening_nodes(P, tol)
+        return len(flats) >= 4 and len(flats) % 2 == 0, float(len(flats))
 
-    D = dual_pair(P, tol)
-    verts = dual_vertex_edges(D, tol)
-    results.append(("flattening_vertex_sets", flats == verts, float(len(set(flats) ^ set(verts)))))
+    def flattening_vertex_sets():
+        got["dual"] = D = dual_pair(P, tol)
+        verts = dual_vertex_edges(D, tol)
+        return got["flats"] == verts, float(len(set(got["flats"]) ^ set(verts)))
 
-    rep = coplanarity_concurrency_check(P, tol)
-    quiet = not any(rep.coplanar) and not any(rep.concurrent) and all(rep.agreement)
-    results.append(("coplanarity_concurrency", quiet, 0.0 if quiet else 1.0))
+    def coplanarity_concurrency():
+        rep = coplanarity_concurrency_check(P, got["dual"], tol)
+        quiet = not any(rep.coplanar) and not any(rep.concurrent) and all(rep.agreement)
+        return quiet, 0.0 if quiet else 1.0
 
-    back = dual_of_dual(D, tol)
-    scale = max(1.0, float(np.max(np.abs(P.X.values))))
-    inv_err = float(np.max(np.abs(back.X.values - P.X.values))) / scale
-    results.append(("duality_involution", inv_err <= tol.tol_residual, inv_err))
+    def duality_involution():
+        err = involution_error(P, dual_of_dual(got["dual"], tol))
+        return err <= tol.tol_residual, err
 
-    drep = dual_invariants(P, D, tol)
-    vol_err = max(drep.beta_dual_residual, drep.alpha_dual_residual)
-    results.append(("dual_volume_identities", vol_err <= tol.tol_residual, vol_err))
+    def dual_volume_identities():
+        got["report"] = rep = dual_invariants(P, got["dual"], tol)
+        err = max(rep.beta_dual_residual, rep.alpha_dual_residual)
+        return err <= tol.tol_residual, err
 
-    lam_err = delta_identity_residual(P, tol)
-    results.append(("delta_lambda_identity", lam_err <= tol.tol_residual, lam_err))
+    def delta_lambda_identity():
+        err = delta_identity_residual(P, tol)
+        return err <= tol.tol_residual, err
 
-    y, v, _ = dual_planar_parts(inst, tol)
-    convex = is_convex(y, tol)
-    results.append(("dual_projection_convex", convex, 0.0 if convex else 1.0))
+    def dual_projection_convex():
+        got["planar"] = dual_planar_parts(got["dual"], tol)
+        convex = is_convex(got["planar"][0], tol)
+        return convex, 0.0 if convex else 1.0
 
-    exact, _ = is_exact(y, v, tol)
-    pverts = planar_vertices(y, v, tol) if exact else []
-    pmatch = exact and pverts == flats and len(pverts) >= 4
-    results.append(("planar_vertices_match", pmatch, float(len(pverts))))
+    def planar_vertices_match():
+        pverts = planar_vertices(*got["planar"], tol)
+        return pverts == got["flats"] and len(pverts) >= 4, float(len(pverts))
 
-    sigma = drep.sign_sigma
-    sig_ok = sigma_ref is None or sigma == sigma_ref
-    results.append(("sigma_constant", sig_ok, float(sigma)))
-    return results, sigma, count
+    def sigma_constant():
+        sigma = got["report"].sign_sigma
+        return sigma_ref is None or sigma == sigma_ref, float(sigma)
+
+    checks = (
+        flattening_count, flattening_vertex_sets, coplanarity_concurrency, duality_involution,
+        dual_volume_identities, delta_lambda_identity, dual_projection_convex,
+        planar_vertices_match, sigma_constant,
+    )
+    return [(check.__name__, check) for check in checks], got
 
 
 def cmd_verify(args, tol: ToleranceConfig) -> int:
+    if args.instances < 1:
+        raise ValidationError("--instances must be at least 1")
     lo, hi = _parse_range(args.n_range, "--n-range")
     lo, hi = int(lo), int(hi)
     if lo < 4 or hi < lo:
         raise ValidationError("--n-range needs 4 <= lo <= hi")
     lam_range = _parse_range(args.lambda_range, "--lambda-range")
-    started = time.perf_counter()
     passes = 0
     failures: list[dict] = []
     histogram: dict[int, int] = {}
@@ -299,32 +302,30 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
         seed = [args.seed, index]
         n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
         cfg = GenConfig(seed=seed + [1], n=n, lambda_range=lam_range)
-        inst = random_radial_instance(cfg, tol)
-        P = FramedPolygon(inst.X, NodeSeq(np.tile(_E3, (n, 1))))
-        try:
-            results, sigma, count = _verify_instance(P, inst, tol, sigma_ref)
-        except GeometryError as exc:
-            failures.extend(
-                {"seed": seed, "n": n, "check": name, "residual": None, "error": str(exc)}
-                for name in _VERIFY_CHECKS
-            )
-            continue
-        if sigma_ref is None:
-            sigma_ref = sigma
-        histogram[count] = histogram.get(count, 0) + 1
-        for name, ok, residual in results:
+        P = FramedPolygon(random_radial_instance(cfg, tol).X, vertical_field(n))
+        battery, got = _verify_battery(P, tol, sigma_ref)
+        for name, check in battery:
+            try:
+                ok, residual = check()
+            except GeometryError as exc:  # the instance's remaining checks do not run
+                failures.append({"seed": seed, "n": n, "check": name, "residual": None, "error": str(exc)})
+                break
             if ok:
                 passes += 1
             else:
                 failures.append({"seed": seed, "n": n, "check": name, "residual": residual})
+        else:
+            count = len(got["flats"])
+            histogram[count] = histogram.get(count, 0) + 1
+            if sigma_ref is None:
+                sigma_ref = got["report"].sign_sigma
     report = VerificationReport(
         instances=args.instances,
-        checks_per_instance=len(_VERIFY_CHECKS),
+        checks_per_instance=len(battery),
         passes=passes,
         failures=failures,
         flattening_histogram=histogram,
         sigma_observed=sigma_ref,
-        elapsed_seconds=time.perf_counter() - started,
     )
     text = dump_json(report.to_json_obj())
     if args.report:
@@ -416,6 +417,11 @@ _COMMANDS = {
 }
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -423,14 +429,11 @@ def main(argv=None) -> int:
         tol = ToleranceConfig(tol_sign=args.tol_sign, tol_residual=args.tol_residual)
         return _COMMANDS[args.command](args, tol)
     except NotPlanarDual as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except (GenerationFailed, SingularNormalization) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        return _fail(exc, 4)
     except (GeometryError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
 
 
 def console_main() -> None:

@@ -223,3 +223,15 @@ def cyclic_sign_changes(values, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int
     flips = s * shift_next(s) < 0
     junctions = [int(j) for j in np.nonzero(flips)[0]]
     return len(junctions), junctions
+
+
+def sign_change_nodes(values, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """The slots just after each strict sign flip, ascending.
+
+    Junction j of ``cyclic_sign_changes`` lies between slots j and j+1; read
+    as an edge sequence, that is node j+1 (mod n).  Raises DegenerateSign as
+    ``cyclic_sign_changes`` does.
+    """
+    _, junctions = cyclic_sign_changes(values, tol)
+    n = len(values)
+    return sorted((j + 1) % n for j in junctions)

@@ -45,7 +45,6 @@ class VerificationReport:
     failures: list[dict]
     flattening_histogram: dict[int, int]
     sigma_observed: int | None
-    elapsed_seconds: float
 
     def to_json_obj(self) -> dict:
         return {
@@ -55,7 +54,6 @@ class VerificationReport:
             "failures": self.failures,
             "flattening_histogram": {str(k): v for k, v in sorted(self.flattening_histogram.items())},
             "sigma_observed": self.sigma_observed,
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
 
@@ -71,13 +69,18 @@ def _rows(obj, name: str, width: int) -> np.ndarray:
     return arr
 
 
-def parse_polygon_document(obj: dict) -> PolygonDocument:
+def _document_n(obj) -> int:
+    """The n of a document object; only a JSON integer is one, not a bool, float or string."""
     if not isinstance(obj, dict):
         raise ValidationError("document must be a JSON object")
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError):
+    n = obj.get("n")
+    if type(n) is not int:
         raise ValidationError("document needs an integer n")
+    return n
+
+
+def parse_polygon_document(obj: dict) -> PolygonDocument:
+    n = _document_n(obj)
     nodes = _rows(obj.get("nodes"), "nodes", 3)
     if nodes.shape[0] != n:
         raise ValidationError("nodes length does not match n")
@@ -98,12 +101,7 @@ def parse_polygon_document(obj: dict) -> PolygonDocument:
 
 
 def parse_planar_document(obj: dict) -> PlanarPair:
-    if not isinstance(obj, dict):
-        raise ValidationError("document must be a JSON object")
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("document needs an integer n")
+    n = _document_n(obj)
     x = _rows(obj.get("x"), "x", 2)
     u = _rows(obj.get("u"), "u", 2)
     if x.shape[0] != n:

@@ -32,9 +32,10 @@ from .cyclic import (
     row_norms,
     shift_next,
     shift_prev,
+    sign_change_nodes,
     strict_signs,
 )
-from .errors import DualityResidual, NotGeneric, NotParallel
+from .errors import DegenerateSign, DualityResidual, NotGeneric, NotParallel
 from .invariants import (
     FramedPolygon,
     curvature_b,
@@ -143,6 +144,12 @@ def dual_curvature(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
     return tangential_ratio(dV, dY, tol)
 
 
+def _dual_curvature_jumps(D: DualPair, tol: ToleranceConfig) -> np.ndarray:
+    """b(Y,V)' at the dual nodes: slot j holds b(Y,V)(j+1) - b(Y,V)(j), the value at j+1/2."""
+    b_dual = dual_curvature(D, tol)
+    return shift_next(b_dual) - b_dual
+
+
 def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> DualReport:
     """Check the product formulas for the dual volumes and measure sigma.
 
@@ -202,6 +209,18 @@ def dual_of_dual(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> FramedPolyg
     return P
 
 
+def involution_error(P: FramedPolygon, back: FramedPolygon) -> float:
+    """How far ``back``, P dualized twice, lies from P.
+
+    The larger of the deviations in X and in U, each relative to the
+    largest entry of P's array, or to 1 when that is smaller.
+    """
+    return max(
+        float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+        for got, want in ((back.X.values, P.X.values), (back.U.values, P.U.values))
+    )
+
+
 def reframed_dual(
     P: FramedPolygon, c: float, d: float, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DualPair:
@@ -233,20 +252,17 @@ class CoplanarityReport:
 
 
 def coplanarity_concurrency_check(
-    P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
+    P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CoplanarityReport:
-    """Compare Delta(i+1/2) = 0 with concurrency of the dual normal lines.
+    """Compare Delta(i+1/2) = 0 with concurrency of the normal lines of D, the dual of P.
 
     Concurrency of the three dual normal lines around dual edge i is decided
     by the curvature-equality criterion b(Y,V)(i) = b(Y,V)(i+1), not by
     intersecting lines in floating point.
     """
     curvature_b(P, tol)  # the correspondence needs a parallel field
-    d = delta(P).values
-    coplanar = strict_signs(d, tol) == 0
-    b_dual = dual_curvature(dual_pair(P, tol), tol)
-    jump = shift_next(b_dual) - b_dual
-    concurrent = strict_signs(jump, tol) == 0
+    coplanar = strict_signs(delta(P).values, tol) == 0
+    concurrent = strict_signs(_dual_curvature_jumps(D, tol), tol) == 0
     return CoplanarityReport(
         coplanar=tuple(bool(x) for x in coplanar),
         concurrent=tuple(bool(x) for x in concurrent),
@@ -255,14 +271,10 @@ def coplanarity_concurrency_check(
 
 def dual_vertex_edges(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Vertices of the dual pair: dual edges i where b(Y,V)' changes sign across i."""
-    b_dual = dual_curvature(D, tol)
-    jump = shift_next(b_dual) - b_dual  # slot j holds b' at j+1/2
-    signs = strict_signs(jump, tol)
-    if np.any(signs == 0):
-        raise NotGeneric("a dual curvature difference has no strict sign")
-    flips = signs * shift_next(signs) < 0
-    n = len(b_dual)
-    return sorted((int(j) + 1) % n for j in np.nonzero(flips)[0])
+    try:
+        return sign_change_nodes(_dual_curvature_jumps(D, tol), tol)
+    except DegenerateSign as exc:
+        raise NotGeneric("a dual curvature difference has no strict sign") from exc
 
 
 def flattening_vertex_correspondence(
@@ -282,7 +294,6 @@ def genericity_matches_dual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     """Predicate equivalence: X generic iff every dual curvature difference is nonzero."""
     from .invariants import is_generic
 
-    b_dual = dual_curvature(dual_pair(P, tol), tol)
-    jump = shift_next(b_dual) - b_dual
-    dual_generic = bool(np.all(strict_signs(jump, tol) != 0))
+    jumps = _dual_curvature_jumps(dual_pair(P, tol), tol)
+    dual_generic = bool(np.all(strict_signs(jumps, tol) != 0))
     return is_generic(P, tol) == dual_generic

@@ -39,15 +39,15 @@ from .errors import (
 )
 from .invariants import FramedPolygon, _alpha_values, delta, is_equal_volume, is_generic
 from .pedal import (
+    E3,
     PlanarPair,
     RadialInstance,
     _area_centroid,
     cylindrical_pedal,
     is_convex,
     make_radial_instance,
+    vertical_field,
 )
-
-_E3 = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
         if W is None:
             continue
         try:
-            P = FramedPolygon(nodes, NodeSeq(_E3 + W))
+            P = FramedPolygon(nodes, NodeSeq(E3 + W))
         except Exception:
             continue
         return P
@@ -375,7 +375,7 @@ def random_equal_volume_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_T
         Yv = cylindrical_pedal(pp, tol).Y.values
         M = random_unimodular_matrix(rng)
         X = NodeSeq(Yv @ M.T)
-        U = NodeSeq(np.tile(_E3 @ M.T, (cfg.n, 1)))
+        U = NodeSeq(np.tile(E3 @ M.T, (cfg.n, 1)))
         if is_equal_volume(X, tol=tol) and is_generic(X, tol):
             return X, U
     raise GenerationFailed(f"no equal-volume instance after {cfg.max_retries} tries")
@@ -435,7 +435,7 @@ def planted_coplanar_instance(
         if not (planted_ok and np.all(strict)):
             continue
         try:
-            P = FramedPolygon(NodeSeq(moved), NodeSeq(np.tile(_E3, (cfg.n, 1))))
+            P = FramedPolygon(NodeSeq(moved), vertical_field(cfg.n))
         except Exception:
             continue
         return P, i
@@ -445,8 +445,7 @@ def planted_coplanar_instance(
 def fixtures() -> dict[str, object]:
     """The canonical instances used across the documentation and tests."""
     square = NodeSeq([(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)])
-    vertical = NodeSeq(np.tile(_E3, (4, 1)))
-    lifted_square = FramedPolygon(square, vertical)
+    lifted_square = FramedPolygon(square, vertical_field(4))
 
     half = NodeSeq([(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)])
     half_square_pair = PlanarPair(half, second_diff(half))
@@ -454,12 +453,12 @@ def fixtures() -> dict[str, object]:
     angles = np.pi * np.arange(6) / 3.0
     heights = 1.0 + np.array([0.10, 0.04, -0.05, -0.03, 0.06, -0.07])
     hexagon = NodeSeq(np.column_stack([np.cos(angles), np.sin(angles), heights]))
-    perturbed_hexagon = FramedPolygon(hexagon, NodeSeq(np.tile(_E3, (6, 1))))
+    perturbed_hexagon = FramedPolygon(hexagon, vertical_field(6))
 
     planted, planted_edge = planted_coplanar_instance(GenConfig(seed=2024, n=6))
 
     pedal = cylindrical_pedal(half_square_pair)
-    constant_curvature_pair = FramedPolygon(NodeSeq(pedal.Y.values), NodeSeq(np.tile(_E3, (4, 1))))
+    constant_curvature_pair = FramedPolygon(NodeSeq(pedal.Y.values), vertical_field(4))
 
     return {
         "lifted_square": lifted_square,

@@ -39,6 +39,7 @@ from .cyclic import (
     second_diff,
     shift_next,
     shift_prev,
+    sign_change_nodes,
     strict_signs,
 )
 from .errors import (
@@ -246,25 +247,20 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     parallel field, the equivalent criterion through sign changes of
     lambda' is evaluated as a cross-check.
     """
-    d = delta(poly)
     try:
-        _, junctions = cyclic_sign_changes(d, tol)
+        nodes = sign_change_nodes(delta(poly), tol)
     except DegenerateSign as exc:
         raise NotGeneric(str(exc)) from exc
-    n = d.n
-    nodes = sorted((j + 1) % n for j in junctions)
     if isinstance(poly, FramedPolygon):
         try:
             lam = lambda_coeff(poly, tol)
             curvature_b(poly, tol)
         except (NotParallel, IdentityCheckFailed):
             return nodes
-        dlam = node_diff(lam)
         try:
-            _, lam_junctions = cyclic_sign_changes(dlam, tol)
+            lam_nodes = sign_change_nodes(node_diff(lam), tol)
         except DegenerateSign:
             return nodes
-        lam_nodes = sorted((j + 1) % n for j in lam_junctions)
         if lam_nodes != nodes:
             raise IdentityCheckFailed(
                 f"flattening sets disagree: Delta {nodes} vs lambda' {lam_nodes}"
@@ -452,27 +448,6 @@ def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
         raise NonTransversal("reframing needs a positive coefficient on U")
     U = NodeSeq(c * P.centered + d * P.U.values)
     return FramedPolygon(P.X, U, P.origin)
-
-
-@dataclass(frozen=True)
-class FeatureReport:
-    """Aggregated vertex/flattening analysis; None marks an undefined feature set."""
-
-    vertices: tuple[int, ...] | None
-    flattenings: tuple[int, ...] | None
-    is_generic: bool
-    is_constant_curvature: bool
-
-
-def feature_report(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> FeatureReport:
-    generic = is_generic(P, tol)
-    flats = tuple(flattening_nodes(P, tol)) if generic else None
-    constant, _ = is_constant_curvature(P, tol)
-    try:
-        verts = tuple(vertex_edges(P, tol))
-    except (NotParallel, DegenerateSign):
-        verts = None
-    return FeatureReport(verts, flats, generic, constant)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .cyclic import (
     edge_diff,
     shift_next,
     shift_prev,
+    sign_change_nodes,
     strict_signs,
 )
 from .duality import DualPair, dual_pair
@@ -51,11 +52,18 @@ from .errors import (
 )
 from .invariants import FramedPolygon, is_constant_curvature, tangential_ratio
 
-_E3 = np.array([0.0, 0.0, 1.0])
+# The vertical constant field E = (0, 0, 1), the dual field of every lifting.
+E3 = np.array([0.0, 0.0, 1.0])
+E3.setflags(write=False)
 
 # Total-turning test for the winding index; the index is an integer so this
 # only needs to separate 2*pi from its multiples.
 TURNING_TOL = 1e-6
+
+
+def vertical_field(n: int) -> NodeSeq:
+    """The field E3 at each of n nodes."""
+    return NodeSeq(np.tile(E3, (n, 1)))
 
 
 class PlanarPair:
@@ -155,9 +163,9 @@ def cylindrical_pedal(pp: PlanarPair, tol: ToleranceConfig = DEFAULT_TOL) -> Ped
     scale = max(float(np.max(np.abs(Yv))), 1.0)
     if np.max(np.abs(D.Y.values - Yv)) > tol.tol_residual * scale:
         raise DualityResidual("pedal deviates from the dual of the lifting")
-    if np.max(np.abs(D.V.values - _E3)) > tol.tol_residual:
+    if np.max(np.abs(D.V.values - E3)) > tol.tol_residual:
         raise DualityResidual("dual field of the lifting is not the vertical constant")
-    shifted = FramedPolygon(NodeSeq(Yv), NodeSeq(np.tile(_E3, (pp.n, 1))))
+    shifted = FramedPolygon(NodeSeq(Yv), vertical_field(pp.n))
     constant, _ = is_constant_curvature(shifted, tol)
     if not constant:
         raise DualityResidual("pedal pair failed the constant-curvature check")
@@ -269,13 +277,10 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
     ok, b = is_exact(y, v, tol)
     if not ok:
         raise NotExact("the field is not exact with respect to the polygon")
-    d = edge_diff(b).values
-    signs = strict_signs(d, tol)
-    if np.any(signs == 0):
-        raise NotGeneric("a curvature difference has no strict sign")
-    flips = signs * shift_next(signs) < 0
-    n = y.n
-    return sorted((int(j) + 1) % n for j in np.nonzero(flips)[0])
+    try:
+        return sign_change_nodes(edge_diff(b), tol)
+    except DegenerateSign as exc:
+        raise NotGeneric("a curvature difference has no strict sign") from exc
 
 
 @dataclass(frozen=True)
@@ -339,19 +344,16 @@ def _area_centroid(g: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def dual_planar_parts(inst: RadialInstance, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[NodeSeq, NodeSeq, DualPair]:
-    """Dual pair of (X, (0,0,1)) split into its planar parts (y, v).
+def dual_planar_parts(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[NodeSeq, NodeSeq]:
+    """Planar parts (y, v) of D, the dual pair of a polygon with the field E3.
 
-    For a radial instance the dual polygon satisfies Y . E = 1 and the dual
-    field V . E = 0 exactly, so Y = (y, 1) and V = (v, 0); the planar slots
-    are returned as node sequences in the half-integer frame.
+    The incidences Y . U = 1 and V . U = 0 with U = E3 make Y = (y, 1) and
+    V = (v, 0); the planar slots are returned as node sequences in the
+    half-integer frame.
     """
-    n = inst.X.n
-    P = FramedPolygon(inst.X, NodeSeq(np.tile(_E3, (n, 1))))
-    D = dual_pair(P, tol)
     Yv, Vv = D.Y.values, D.V.values
     if np.max(np.abs(Yv[:, 2] - 1.0)) > tol.tol_residual:
         raise DualityResidual("dual polygon is not a lifted planar polygon")
     if np.max(np.abs(Vv[:, 2])) > tol.tol_residual * max(1.0, float(np.max(np.abs(Vv)))):
         raise DualityResidual("dual field is not horizontal")
-    return NodeSeq(Yv[:, :2]), NodeSeq(Vv[:, :2]), D
+    return NodeSeq(Yv[:, :2]), NodeSeq(Vv[:, :2])

@@ -181,14 +181,14 @@ def test_criterion_05_coplanarity_concurrency(framed_500):
     for i in range(100):
         n = int(np.random.default_rng([30, i, 0]).integers(6, 15))
         P, edge = planted_coplanar_instance(GenConfig(seed=[30, i, 1], n=n))
-        rep = coplanarity_concurrency_check(P)
+        rep = coplanarity_concurrency_check(P, dual_pair(P))
         fired_cop = [k for k, c in enumerate(rep.coplanar) if c]
         fired_con = [k for k, c in enumerate(rep.concurrent) if c]
         if fired_cop == [edge] and fired_con == [edge]:
             planted_ok += 1
     quiet_ok = 0
     for P in framed_500:
-        rep = coplanarity_concurrency_check(P)
+        rep = coplanarity_concurrency_check(P, dual_pair(P))
         if not any(rep.coplanar) and not any(rep.concurrent):
             quiet_ok += 1
     ok = planted_ok == 100 and quiet_ok == 500
@@ -236,7 +236,7 @@ def test_criterion_08_convex_planar_dual(radial_500):
     convex = 0
     matched = 0
     for inst in radial_500:
-        y, v, _ = dual_planar_parts(inst)
+        y, v = dual_planar_parts(dual_pair(radial_pair(inst)))
         if is_convex(y):
             convex += 1
         exact, _ = is_exact(y, v)

@@ -5,6 +5,7 @@ import pytest
 
 from centropoly import cli, fixtures
 from centropoly.documents import dump_json, framed_to_document
+from centropoly.errors import DualityResidual
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,20 @@ def test_analyze_rejects_bad_field_length(docs, tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "field length" in err
+
+
+@pytest.mark.parametrize("command, key", [("analyze", "hexagon"), ("pedal", "half")])
+@pytest.mark.parametrize("make_n", [lambda n: n + 0.9, lambda n: True, str],
+                         ids=["float", "bool", "string"])
+def test_documents_need_a_json_integer_n(command, key, make_n, docs, tmp_path, capsys):
+    doc = json.loads(open(docs[key]).read())
+    doc["n"] = make_n(doc["n"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert "integer n" in err
 
 
 def test_dual_fixture_and_roundtrip(docs, capsys):
@@ -157,6 +172,48 @@ def test_verify_small_run(tmp_path, capsys):
         assert int(count) >= 4 and int(count) % 2 == 0 and freq > 0
     assert json.loads(report_path.read_text())["instances"] == 20
     assert "sigma=+1" in err
+
+
+def test_verify_deterministic_bytes(tmp_path, capsys):
+    argv = ["verify", "--instances", "5", "--seed", "2"]
+    _, out1, _ = run(capsys, *argv, "--report", str(tmp_path / "a.json"))
+    _, out2, _ = run(capsys, *argv, "--report", str(tmp_path / "b.json"))
+    assert out1 == out2
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_verify_records_one_failure_under_the_raising_check(monkeypatch, capsys):
+    def raising(D, tol):
+        raise DualityResidual("planted")
+
+    monkeypatch.setattr(cli, "dual_of_dual", raising)
+    code, out, _ = run(capsys, "verify", "--instances", "2")
+    assert code == 1
+    data = json.loads(out)
+    assert [f["check"] for f in data["failures"]] == ["duality_involution"] * 2
+    assert all(f["error"] == "planted" and f["residual"] is None for f in data["failures"])
+    assert data["checks_per_instance"] == 9
+    assert data["passes"] == 2 * 3  # the three checks before it; the five after it do not run
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_instance(instances, capsys):
+    code, out, err = run(capsys, "verify", "--instances", instances)
+    assert code == 2
+    assert out == ""
+    assert "--instances" in err
+
+
+def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, capsys):
+    # at n = 1000 the re-dualization deviates by about 5e-7, beyond dual_of_dual's bound
+    code, out, _ = run(capsys, "generate", "--kind", "framed", "--n", "1000", "--seed", "1")
+    assert code == 0
+    path = tmp_path / "large.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "dual", str(path), "--roundtrip")
+    assert code == 1
+    assert out == ""
+    assert "DualityResidual" in err
 
 
 def test_export_obj(docs, capsys):

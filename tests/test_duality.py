@@ -180,7 +180,7 @@ def test_reframed_dual_rejects_nonpositive_scale(square):
 
 
 def test_coplanarity_planar_polygon_fully_degenerate(square):
-    rep = coplanarity_concurrency_check(square)
+    rep = coplanarity_concurrency_check(square, dual_pair(square))
     assert all(rep.coplanar)
     assert all(rep.concurrent)
     assert all(rep.agreement)
@@ -188,7 +188,7 @@ def test_coplanarity_planar_polygon_fully_degenerate(square):
 
 def test_coplanarity_planted_instance():
     P, edge = planted_coplanar_instance(GenConfig(seed=6, n=8))
-    rep = coplanarity_concurrency_check(P)
+    rep = coplanarity_concurrency_check(P, dual_pair(P))
     assert [k for k, c in enumerate(rep.coplanar) if c] == [edge]
     assert [k for k, c in enumerate(rep.concurrent) if c] == [edge]
     assert all(rep.agreement)
@@ -197,7 +197,7 @@ def test_coplanarity_planted_instance():
 def test_coplanarity_generic_instances_fire_nowhere():
     for seed in range(15):
         P = random_framed_polygon(GenConfig(seed=300 + seed, n=6 + (seed % 10)))
-        rep = coplanarity_concurrency_check(P)
+        rep = coplanarity_concurrency_check(P, dual_pair(P))
         assert not any(rep.coplanar)
         assert not any(rep.concurrent)
 

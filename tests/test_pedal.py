@@ -31,6 +31,7 @@ from centropoly import (
     second_diff,
     unpedal,
     vertex_edges,
+    vertical_field,
 )
 from centropoly.errors import (
     DegenerateSign,
@@ -42,6 +43,11 @@ from centropoly.errors import (
 )
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def radial_dual_parts(inst):
+    """Planar parts of the dual of a radial instance framed by the vertical field."""
+    return dual_planar_parts(dual_pair(FramedPolygon(inst.X, vertical_field(inst.X.n))))
 
 
 # --- planar curvature ------------------------------------------------------
@@ -234,14 +240,14 @@ def test_constant_field_is_exact():
 
 def test_dual_parts_of_radial_instance_are_exact():
     inst = random_radial_instance(GenConfig(seed=3, n=9))
-    y, v, _ = dual_planar_parts(inst)
+    y, v = radial_dual_parts(inst)
     ok, b = is_exact(y, v)
     assert ok
 
 
 def test_rotated_increment_breaks_exactness():
     inst = random_radial_instance(GenConfig(seed=4, n=8))
-    y, v, _ = dual_planar_parts(inst)
+    y, v = radial_dual_parts(inst)
     dy = node_diff(y).values
     bad = v.values.copy()
     bad[3] += 0.1 * np.array([-dy[2][1], dy[2][0]])
@@ -252,7 +258,7 @@ def test_rotated_increment_breaks_exactness():
 def test_planar_vertices_against_direct_scan():
     for seed in range(10):
         inst = random_radial_instance(GenConfig(seed=20 + seed, n=6 + (seed % 9)))
-        y, v, _ = dual_planar_parts(inst)
+        y, v = radial_dual_parts(inst)
         _, b = is_exact(y, v)
         d = b.values - np.roll(b.values, 1)
         n = y.n
@@ -277,7 +283,7 @@ def test_planar_vertices_require_exactness():
 def test_planar_vertices_match_lifted_vertex_edges():
     for seed in range(10):
         inst = random_radial_instance(GenConfig(seed=50 + seed, n=6 + (seed % 8)))
-        y, v, _ = dual_planar_parts(inst)
+        y, v = radial_dual_parts(inst)
         n = y.n
         lifted = FramedPolygon(
             NodeSeq(np.column_stack([y.values, np.ones(n)])),
