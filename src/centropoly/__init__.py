@@ -17,7 +17,6 @@ from .cyclic import (
     edge_diff,
     node_diff,
     second_diff,
-    sign_of,
 )
 from .duality import (
     CoplanarityReport,

@@ -136,7 +136,7 @@ def cmd_dual(args, tol: ToleranceConfig) -> int:
     rep = dual_invariants(P, D, tol)
     out = {
         "dual": {
-            "n": D.source_n,
+            "n": D.Y.n,
             "nodes": D.Y.values.tolist(),
             "field": D.V.values.tolist(),
             "origin": [0.0, 0.0, 0.0],
@@ -200,16 +200,16 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
     return 0
 
 
-def _parse_range(text: str, what: str) -> tuple[float, float]:
+def _parse_range(text: str, what: str, number: type) -> tuple:
     try:
         lo, hi = text.split("..")
-        return float(lo), float(hi)
+        return number(lo), number(hi)
     except ValueError as exc:
-        raise ValidationError(f"{what} must look like lo..hi") from exc
+        raise ValidationError(f"{what} must look like lo..hi, with {number.__name__} bounds") from exc
 
 
 def cmd_generate(args, tol: ToleranceConfig) -> int:
-    lam_range = _parse_range(args.lambda_range, "--lambda-range")
+    lam_range = _parse_range(args.lambda_range, "--lambda-range", float)
     cfg = GenConfig(seed=args.seed, n=args.n, lambda_range=lam_range)
     if args.kind == "planar":
         pp = random_planar_pair(cfg, tol)
@@ -228,72 +228,71 @@ def cmd_generate(args, tol: ToleranceConfig) -> int:
     return 0
 
 
-def _verify_battery(P: FramedPolygon, tol: ToleranceConfig, sigma_ref: int | None):
-    """The checks of one instance as (name, check) pairs, in running order.
+def _verify_battery(tol: ToleranceConfig):
+    """The checks of one instance, in running order.
 
-    A check returns (ok, residual) and may raise GeometryError.  What several
-    checks share is computed once, by the first check that needs it, and kept
-    in ``got``: the flattening set, the dual pair, its report and its planar
-    parts.
+    A check takes the polygon P and a dict ``got``, returns (ok, residual)
+    and may raise GeometryError.  ``got`` starts with the reference sigma,
+    ``sigma_ref``; what several checks share is computed once, by the first
+    check that needs it, and kept in ``got``: the flattening set, the dual
+    pair, its report and its planar parts.
     """
-    got: dict = {}
 
-    def flattening_count():
+    def flattening_count(P, got):
         got["flats"] = flats = flattening_nodes(P, tol)
         return len(flats) >= 4 and len(flats) % 2 == 0, float(len(flats))
 
-    def flattening_vertex_sets():
+    def flattening_vertex_sets(P, got):
         got["dual"] = D = dual_pair(P, tol)
         verts = dual_vertex_edges(D, tol)
         return got["flats"] == verts, float(len(set(got["flats"]) ^ set(verts)))
 
-    def coplanarity_concurrency():
+    def coplanarity_concurrency(P, got):
         rep = coplanarity_concurrency_check(P, got["dual"], tol)
         quiet = not any(rep.coplanar) and not any(rep.concurrent) and all(rep.agreement)
         return quiet, 0.0 if quiet else 1.0
 
-    def duality_involution():
+    def duality_involution(P, got):
         err = involution_error(P, dual_of_dual(got["dual"], tol))
         return err <= tol.tol_residual, err
 
-    def dual_volume_identities():
+    def dual_volume_identities(P, got):
         got["report"] = rep = dual_invariants(P, got["dual"], tol)
         err = max(rep.beta_dual_residual, rep.alpha_dual_residual)
         return err <= tol.tol_residual, err
 
-    def delta_lambda_identity():
+    def delta_lambda_identity(P, got):
         err = delta_identity_residual(P, tol)
         return err <= tol.tol_residual, err
 
-    def dual_projection_convex():
+    def dual_projection_convex(P, got):
         got["planar"] = dual_planar_parts(got["dual"], tol)
         convex = is_convex(got["planar"][0], tol)
         return convex, 0.0 if convex else 1.0
 
-    def planar_vertices_match():
+    def planar_vertices_match(P, got):
         pverts = planar_vertices(*got["planar"], tol)
         return pverts == got["flats"] and len(pverts) >= 4, float(len(pverts))
 
-    def sigma_constant():
-        sigma = got["report"].sign_sigma
+    def sigma_constant(P, got):
+        sigma, sigma_ref = got["report"].sign_sigma, got["sigma_ref"]
         return sigma_ref is None or sigma == sigma_ref, float(sigma)
 
-    checks = (
+    return (
         flattening_count, flattening_vertex_sets, coplanarity_concurrency, duality_involution,
         dual_volume_identities, delta_lambda_identity, dual_projection_convex,
         planar_vertices_match, sigma_constant,
     )
-    return [(check.__name__, check) for check in checks], got
 
 
 def cmd_verify(args, tol: ToleranceConfig) -> int:
     if args.instances < 1:
         raise ValidationError("--instances must be at least 1")
-    lo, hi = _parse_range(args.n_range, "--n-range")
-    lo, hi = int(lo), int(hi)
+    lo, hi = _parse_range(args.n_range, "--n-range", int)
     if lo < 4 or hi < lo:
         raise ValidationError("--n-range needs 4 <= lo <= hi")
-    lam_range = _parse_range(args.lambda_range, "--lambda-range")
+    lam_range = _parse_range(args.lambda_range, "--lambda-range", float)
+    battery = _verify_battery(tol)
     passes = 0
     failures: list[dict] = []
     histogram: dict[int, int] = {}
@@ -301,19 +300,24 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     for index in range(args.instances):
         seed = [args.seed, index]
         n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
+        where = {"seed": seed, "n": n}
         cfg = GenConfig(seed=seed + [1], n=n, lambda_range=lam_range)
-        P = FramedPolygon(random_radial_instance(cfg, tol).X, vertical_field(n))
-        battery, got = _verify_battery(P, tol, sigma_ref)
-        for name, check in battery:
+        try:
+            P = FramedPolygon(random_radial_instance(cfg, tol).X, vertical_field(n))
+        except GeometryError as exc:  # no instance, so none of its checks run
+            failures.append({**where, "check": "generate", "residual": None, "error": str(exc)})
+            continue
+        got = {"sigma_ref": sigma_ref}
+        for check in battery:
             try:
-                ok, residual = check()
+                ok, residual = check(P, got)
             except GeometryError as exc:  # the instance's remaining checks do not run
-                failures.append({"seed": seed, "n": n, "check": name, "residual": None, "error": str(exc)})
+                failures.append({**where, "check": check.__name__, "residual": None, "error": str(exc)})
                 break
             if ok:
                 passes += 1
             else:
-                failures.append({"seed": seed, "n": n, "check": name, "residual": residual})
+                failures.append({**where, "check": check.__name__, "residual": residual})
         else:
             count = len(got["flats"])
             histogram[count] = histogram.get(count, 0) + 1
@@ -334,6 +338,8 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     print(text)
     if sigma_ref is not None and sigma_ref != -1:
         print(f"note: observed dual curvature sign sigma={sigma_ref:+d}", file=sys.stderr)
+    if any(f["check"] == "generate" for f in failures):
+        return 4
     return 0 if not failures else 1
 
 

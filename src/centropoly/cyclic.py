@@ -19,8 +19,8 @@ products gather permuted components instead of calling ``np.cross``; both
 perform the same floating-point operations as the numpy routines they
 replace, so results agree bit for bit.
 
-Sign predicates use a relative dead-band (``tol_sign`` times a caller-supplied
-magnitude scale) rather than an absolute epsilon, so every analysis is
+Sign predicates use a relative dead-band (``tol_sign`` times the sequence's
+largest magnitude) rather than an absolute epsilon, so every analysis is
 invariant under global rescaling of the polygon.
 """
 
@@ -182,28 +182,10 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
-def as_vec2(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(2)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector components must be finite")
-    return arr
-
-
-def sign_of(value: float, scale: float, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Dead-banded sign: +-1 outside tol_sign * scale, 0 inside."""
-    band = tol.tol_sign * scale
-    if value > band:
-        return 1
-    if value < -band:
-        return -1
-    return 0
-
-
-def strict_signs(values, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+def strict_signs(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Dead-banded signs of a whole sequence, scaled by its own max magnitude."""
     arr = values.values if isinstance(values, _CyclicSeq) else np.asarray(values, dtype=float)
-    if scale is None:
-        scale = float(np.abs(arr).max()) if arr.size else 0.0
+    scale = float(np.abs(arr).max()) if arr.size else 0.0
     band = tol.tol_sign * scale
     return (arr > band).astype(int) - (arr < -band)
 

@@ -117,13 +117,13 @@ def document_to_framed(doc: PolygonDocument) -> FramedPolygon:
     return FramedPolygon(NodeSeq(doc.nodes), NodeSeq(doc.field), doc.origin)
 
 
-def framed_to_document(P: FramedPolygon, indexing: str = "node") -> dict:
+def framed_to_document(P: FramedPolygon) -> dict:
     return {
         "n": P.n,
         "nodes": P.X.values.tolist(),
         "field": P.U.values.tolist(),
         "origin": P.origin.tolist(),
-        "indexing": indexing,
+        "indexing": "node",
     }
 
 

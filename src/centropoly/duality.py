@@ -19,6 +19,7 @@ it, and the test suite pins its observed value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,23 +39,35 @@ from .cyclic import (
 from .errors import DegenerateSign, DualityResidual, NotGeneric, NotParallel
 from .invariants import (
     FramedPolygon,
+    _alpha_values,
+    _tangential_fit,
+    _tangential_verdict,
     curvature_b,
     delta,
     flattening_nodes,
     lambda_coeff,
     reframe,
-    tangential_ratio,
 )
 
 
 @dataclass(frozen=True)
 class DualPair:
-    """Edge-indexed dual polygon Y with its transversal field V."""
+    """Edge-indexed dual polygon Y with its transversal field V, and arrays derived from them."""
 
     Y: EdgeSeq
     V: EdgeSeq
-    source_n: int
     source_origin: np.ndarray
+
+    @cached_property
+    def increments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V'(i), Y'(i)) in slot i, the increments across the dual edges."""
+        Yv, Vv = self.Y.values, self.V.values
+        return Vv - shift_prev(Vv), Yv - shift_prev(Yv)
+
+    @cached_property
+    def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``_tangential_fit`` of V' = -b(Y,V) Y'."""
+        return _tangential_fit(*self.increments)
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
         excess = np.concatenate((excess[:, :3].ravel(), excess[:, 3:].ravel()))
         j = int(np.argmax(excess > 0.0))
         raise DualityResidual(f"defining relation {_RELATION_NAMES[j]} failed by {excess[j]:.3e}")
-    return DualPair(EdgeSeq(Yv), EdgeSeq(Vv), P.n, P.origin.copy())
+    return DualPair(EdgeSeq(Yv), EdgeSeq(Vv), P.origin.copy())
 
 
 def dual_beta_values(D: DualPair) -> np.ndarray:
@@ -128,20 +141,12 @@ def dual_beta_values(D: DualPair) -> np.ndarray:
 
 def dual_alpha_values(D: DualPair) -> np.ndarray:
     """alpha(Y)(k+1/2) = [Y(k-1/2), Y(k+1/2), Y(k+3/2)], slot k."""
-    Yv = D.Y.values
-    return det3(shift_prev(Yv), Yv, shift_next(Yv))
-
-
-def _dual_increments(D: DualPair) -> tuple[np.ndarray, np.ndarray]:
-    """(V'(i), Y'(i)) in slot i, the increments across the dual edges."""
-    Yv, Vv = D.Y.values, D.V.values
-    return Vv - shift_prev(Vv), Yv - shift_prev(Yv)
+    return _alpha_values(D.Y.values)
 
 
 def dual_curvature(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """b(Y,V)(i) with V'(i) = -b(Y,V)(i) Y'(i); indexed by the dual edges (integers)."""
-    dV, dY = _dual_increments(D)
-    return tangential_ratio(dV, dY, tol)
+    return _tangential_verdict(D.curvature_fit, tol)
 
 
 def _dual_curvature_jumps(D: DualPair, tol: ToleranceConfig) -> np.ndarray:
@@ -169,12 +174,12 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
         scale = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))), 1e-300)
         return float(np.max(np.abs(got - want)) / scale)
 
-    dV, dY = _dual_increments(D)
+    dV, dY = D.increments
     crossnorm = row_norms(cross3(dV, dY))
     denom = row_norms(dV) * row_norms(dY)
     parallel_resid = float(np.max(crossnorm / np.where(denom == 0.0, 1.0, denom)))
 
-    b_dual = tangential_ratio(dV, dY, tol)
+    b_dual = dual_curvature(D, tol)
     lam = lambda_coeff(P, tol).values
     lam_scale = max(1.0, float(np.max(np.abs(lam))))
     dev = {s: float(np.max(np.abs(b_dual - s * lam))) for s in (1, -1)}

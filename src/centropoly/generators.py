@@ -34,6 +34,7 @@ from .cyclic import (
 )
 from .errors import (
     GenerationFailed,
+    GeometryError,
     NotLocallyConvex,
     SingularNormalization,
 )
@@ -43,6 +44,7 @@ from .pedal import (
     PlanarPair,
     RadialInstance,
     _area_centroid,
+    _origin_interior,
     cylindrical_pedal,
     is_convex,
     make_radial_instance,
@@ -106,9 +108,9 @@ def random_convex_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
         pts = _convex_from_rng(rng, cfg.n)
         poly = NodeSeq(pts)
         try:
-            if is_convex(poly, tol) and np.all(area2(pts, shift_next(pts)) > 0.0):
+            if is_convex(poly, tol) and _origin_interior(pts):
                 return poly
-        except Exception:
+        except GeometryError:
             pass
     raise GenerationFailed(f"no convex polygon with {cfg.n} vertices after {cfg.max_retries} tries")
 
@@ -125,13 +127,8 @@ def random_radial_instance(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -
     for _ in range(cfg.max_retries):
         gamma = NodeSeq(_convex_from_rng(rng, cfg.n))
         lam = NodeSeq(np.exp(rng.uniform(np.log(lo), np.log(hi), cfg.n)))
-        try:
-            if not is_convex(gamma, tol):
-                continue
-        except Exception:
-            continue
         inst = make_radial_instance(gamma, lam, tol)
-        if inst.origin_interior and is_generic(inst.X, tol):
+        if inst.gamma_convex and inst.origin_interior and is_generic(inst.X, tol):
             return inst
     raise GenerationFailed(f"no generic radial instance after {cfg.max_retries} tries")
 
@@ -200,7 +197,7 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
             continue
         try:
             P = FramedPolygon(nodes, NodeSeq(E3 + W))
-        except Exception:
+        except GeometryError:
             continue
         return P
     raise GenerationFailed(f"no framed polygon after {cfg.max_retries} tries")
@@ -214,7 +211,7 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
         try:
             if not is_convex(NodeSeq(x), tol):
                 continue
-        except Exception:
+        except GeometryError:
             continue
         edges = shift_next(x) - x
         base = -x  # inward field, curvature 1, beta = [x(i), x(i+1)]
@@ -226,7 +223,7 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
             continue
         try:
             return PlanarPair(NodeSeq(x), NodeSeq(base + W))
-        except Exception:
+        except GeometryError:
             continue
     raise GenerationFailed(f"no planar pair after {cfg.max_retries} tries")
 
@@ -270,7 +267,7 @@ def equal_volume_normalize(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> No
     return out
 
 
-def _newton_equal_area(p: np.ndarray, max_iter: int = 80) -> np.ndarray | None:
+def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
     """Radial multipliers mu with unit consecutive edge-vector areas, or None."""
     n = p.shape[0]
     p_next = shift_next(p)
@@ -287,7 +284,7 @@ def _newton_equal_area(p: np.ndarray, max_iter: int = 80) -> np.ndarray | None:
         return m * m_next * a + m_prev * m * b - m_prev * m_next * c - 1.0
 
     f = F(mu)
-    for _ in range(max_iter):
+    for _ in range(80):
         if np.max(np.abs(f)) <= 1e-13:
             return mu
         J = np.zeros((n, n))
@@ -314,14 +311,14 @@ def _newton_equal_area(p: np.ndarray, max_iter: int = 80) -> np.ndarray | None:
     return mu if np.max(np.abs(f)) <= 1e-12 else None
 
 
-def equal_area_normalize(x: NodeSeq, max_iter: int = 80) -> NodeSeq:
+def equal_area_normalize(x: NodeSeq) -> NodeSeq:
     """Rescale nodes radially so consecutive edge-vector areas are all one.
 
     Unlike the spatial case there is no closed-form log-linear system, so a
     damped Newton iteration solves the quadratic conditions directly; the
     polygon must be strictly convex with the origin strictly inside.
     """
-    mu = _newton_equal_area(x.values, max_iter)
+    mu = _newton_equal_area(x.values)
     if mu is None:
         raise GenerationFailed("equal-area rescaling did not converge")
     return NodeSeq(mu[:, None] * x.values)
@@ -343,16 +340,17 @@ def random_equal_area_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL
     raise GenerationFailed(f"no equal-area polygon after {cfg.max_retries} tries")
 
 
-def random_unimodular_matrix(rng: np.random.Generator, max_cond: float = 50.0) -> np.ndarray:
-    """A random 3x3 matrix with determinant one and bounded condition number."""
-    while True:
+def random_unimodular_matrix(rng: np.random.Generator) -> np.ndarray:
+    """A random 3x3 matrix with determinant one and condition number at most 50."""
+    for _ in range(1000):
         M = rng.uniform(-1.0, 1.0, (3, 3))
         det = np.linalg.det(M)
         if abs(det) < 1e-3:
             continue
         M = M / np.cbrt(det)
-        if np.linalg.cond(M) <= max_cond:
+        if np.linalg.cond(M) <= 50.0:
             return M
+    raise GenerationFailed("no well-conditioned unimodular matrix in 1000 draws")
 
 
 def random_equal_volume_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[NodeSeq, NodeSeq]:
@@ -436,7 +434,7 @@ def planted_coplanar_instance(
             continue
         try:
             P = FramedPolygon(NodeSeq(moved), vertical_field(cfg.n))
-        except Exception:
+        except GeometryError:
             continue
         return P, i
     raise GenerationFailed(f"no planted coplanar instance after {cfg.max_retries} tries")

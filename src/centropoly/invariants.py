@@ -57,16 +57,21 @@ from .errors import (
 _ORIGIN = np.zeros(3)
 
 
-def tangential_ratio(df: np.ndarray, dg: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Extract b with df = -b dg slotwise, or raise NotParallel.
+def _tangential_fit(df: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its scale.
 
-    b is the least-squares projection coefficient; the reconstruction
-    residual is bounded relative to the magnitudes of both factors, which
-    stays meaningful when single components of dg vanish.
+    The scale |df| + |b| |dg| weighs both factors, so it stays meaningful
+    when single components of dg vanish.
     """
     b = -np.einsum("ij,ij->i", df, dg) / np.einsum("ij,ij->i", dg, dg)
     resid, df_norm, dg_norm = row_norms(np.array((df + b[:, None] * dg, df, dg)))
-    bound = tol.tol_residual * (df_norm + np.abs(b) * dg_norm)
+    return b, resid, df_norm + np.abs(b) * dg_norm
+
+
+def _tangential_verdict(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
+    """b of a ``_tangential_fit``, or NotParallel when a residual exceeds tol_residual times its scale."""
+    b, resid, scale = fit
+    bound = tol.tol_residual * scale
     bad = resid > bound
     k = int(bad.argmax())
     if bad[k]:
@@ -75,6 +80,20 @@ def tangential_ratio(df: np.ndarray, dg: np.ndarray, tol: ToleranceConfig) -> np
             f"(residual {resid[k]:.3e} > bound {bound[k]:.3e})"
         )
     return b
+
+
+def tangential_ratio(df: np.ndarray, dg: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Extract b with df = -b dg slotwise, or raise NotParallel."""
+    return _tangential_verdict(_tangential_fit(df, dg), tol)
+
+
+def _alpha_values(r: np.ndarray) -> np.ndarray:
+    return det3(shift_prev(r), r, shift_next(r))
+
+
+def _delta_values(x: np.ndarray) -> np.ndarray:
+    e = shift_next(x) - x
+    return det3(shift_next(e), e, shift_prev(e))
 
 
 class FramedPolygon:
@@ -87,9 +106,9 @@ class FramedPolygon:
     The arrays every invariant starts from are computed here, once: the
     origin-centered nodes ``centered`` and their shift ``centered_next``
     (X(k+1) in slot k), and the volumes ``alpha_values`` and ``beta_values``.
-    Further derived arrays and the curvature verdict per tolerance are kept
-    on the instance when first asked for; X and U are immutable, so none of
-    them can go stale.
+    Further derived arrays are kept on the instance when first asked for; X
+    and U are immutable, so none of them can go stale.  None of them depends
+    on a tolerance: every verdict is taken per call from these arrays.
     """
 
     __slots__ = ("X", "U", "origin", "__dict__")
@@ -104,15 +123,13 @@ class FramedPolygon:
         if U.values.shape != X.values.shape:
             raise ValueError("U must hold one 3-vector per node")
         r = X.values - origin
-        r_prev, r_next = shift_prev(r), shift_next(r)
-        a = det3(r_prev, r, r_next)
+        a = _alpha_values(r)
         if not a.min() > 0.0:
             if (a < 0.0).all():
                 X = NodeSeq(X.values[::-1])
                 U = NodeSeq(U.values[::-1])
                 r = X.values - origin
-                r_prev, r_next = shift_prev(r), shift_next(r)
-                a = det3(r_prev, r, r_next)
+                a = _alpha_values(r)
             if not (a > 0.0).all():
                 raise NotLocallyConvex(
                     f"alpha is not positive at node slot {int(np.argmin(a))}"
@@ -121,7 +138,7 @@ class FramedPolygon:
         self.U = U
         self.origin = origin
         self.centered = r
-        self.centered_next = r_next
+        self.centered_next = r_next = shift_next(r)
         self.alpha_values = a
         self.beta_values = b = det3(r, r_next, U.values)
         if not b.min() > 0.0:
@@ -147,12 +164,23 @@ class FramedPolygon:
         """U(k+1) in slot k."""
         return shift_next(self.U.values)
 
+    @cached_property
+    def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``_tangential_fit`` of U' = -b X': b, |U' + b X'| and |U'| + |b| |X'| per edge slot."""
+        return _tangential_fit(self.field_next - self.U.values, self.edge_vectors)
+
+    @cached_property
+    def delta_values(self) -> np.ndarray:
+        """Delta(k+1/2) in slot k; only node differences enter, so X is taken uncentered."""
+        return _delta_values(self.X.values)
+
+    @cached_property
+    def osculating_dets(self) -> np.ndarray:
+        """[X', X'', X](i) and [X', X'', U](i) in slot i, stacked."""
+        return det3(self.edge_vectors, self.second_diffs, np.array((self.centered, self.U.values)))
+
     def __repr__(self):
         return f"FramedPolygon(n={self.n})"
-
-
-def _alpha_values(r: np.ndarray) -> np.ndarray:
-    return det3(shift_prev(r), r, shift_next(r))
 
 
 def alpha(P: FramedPolygon) -> NodeSeq:
@@ -166,22 +194,8 @@ def beta(P: FramedPolygon) -> EdgeSeq:
 
 
 def curvature_b(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq:
-    """Edge curvatures of a parallel field: U' = -b X'.
-
-    The result, or the NotParallel verdict, is kept on P per tolerance, so
-    the many callers that gate on parallelism share one evaluation.
-    """
-    known = P.__dict__.setdefault("_curvature", {})
-    found = known.get(tol)
-    if found is None:
-        try:
-            found = EdgeSeq(tangential_ratio(P.field_next - P.U.values, P.edge_vectors, tol))
-        except NotParallel as exc:
-            found = str(exc)  # the message only: a kept traceback would pin frames
-        known[tol] = found
-    if isinstance(found, str):
-        raise NotParallel(found)
-    return found
+    """Edge curvatures of a parallel field: U' = -b X'."""
+    return EdgeSeq(_tangential_verdict(P.curvature_fit, tol))
 
 
 def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
@@ -191,7 +205,7 @@ def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSe
     [X', X'', X] expands to exactly alpha(i), which is re-checked here, so
     local convexity guarantees well-posedness.
     """
-    den, num = det3(P.edge_vectors, P.second_diffs, np.array((P.centered, P.U.values)))
+    den, num = P.osculating_dets
     a = P.alpha_values
     scale = float(np.abs(a).max())
     if np.abs(den - a).max() > tol.tol_residual * scale:
@@ -226,18 +240,12 @@ def delta(poly) -> EdgeSeq:
     Accepts a FramedPolygon or a bare NodeSeq of 3-vectors; the origin drops
     out since only differences enter.
     """
-    return EdgeSeq(_delta_values(poly))
-
-
-def _delta_values(poly) -> np.ndarray:
-    x = poly.X.values if isinstance(poly, FramedPolygon) else poly.values
-    e = shift_next(x) - x
-    return det3(shift_next(e), e, shift_prev(e))
+    return EdgeSeq(poly.delta_values if isinstance(poly, FramedPolygon) else _delta_values(poly.values))
 
 
 def is_generic(poly, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when every Delta has a strict sign under the dead-band."""
-    return bool((strict_signs(_delta_values(poly), tol) != 0).all())
+    return bool((strict_signs(delta(poly), tol) != 0).all())
 
 
 def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:

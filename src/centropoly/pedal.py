@@ -30,7 +30,6 @@ from .cyclic import (
     NodeSeq,
     ToleranceConfig,
     area2,
-    as_vec2,
     as_vec3,
     cross3,
     det3,
@@ -48,6 +47,7 @@ from .errors import (
     NonTransversal,
     NotExact,
     NotGeneric,
+    NotParallel,
     NotPlanarDual,
 )
 from .invariants import FramedPolygon, is_constant_curvature, tangential_ratio
@@ -69,20 +69,18 @@ def vertical_field(n: int) -> NodeSeq:
 class PlanarPair:
     """A planar polygon x with a transversal planar field u.
 
-    Transversality means [x'(i+1/2), u(i)] > 0 on every edge.  The optional
-    planar origin shifts x before any lifting.
+    Transversality means [x'(i+1/2), u(i)] > 0 on every edge.
     """
 
-    __slots__ = ("x", "u", "origin2", "__dict__")
+    __slots__ = ("x", "u", "__dict__")
 
-    def __init__(self, x: NodeSeq, u: NodeSeq, origin2=(0.0, 0.0)):
+    def __init__(self, x: NodeSeq, u: NodeSeq):
         if x.values.ndim != 2 or x.values.shape[1] != 2:
             raise ValueError("x must hold 2-vectors")
         if u.values.shape != x.values.shape:
             raise ValueError("u must hold one 2-vector per node")
         self.x = x
         self.u = u
-        self.origin2 = as_vec2(origin2)
         if not np.all(self.beta_values > 0.0):
             k = int(np.argmin(self.beta_values))
             raise NonTransversal(f"planar field is not transversal at edge slot {k}")
@@ -92,12 +90,8 @@ class PlanarPair:
         return self.x.n
 
     @cached_property
-    def centered(self) -> np.ndarray:
-        return self.x.values - self.origin2
-
-    @cached_property
     def edge_vectors(self) -> np.ndarray:
-        return shift_next(self.centered) - self.centered
+        return shift_next(self.x.values) - self.x.values
 
     @cached_property
     def beta_values(self) -> np.ndarray:
@@ -133,7 +127,7 @@ def lift(pp: PlanarPair) -> FramedPolygon:
     constructor; transversality carries over edge by edge.
     """
     n = pp.n
-    X = NodeSeq(np.column_stack([pp.centered, np.ones(n)]))
+    X = NodeSeq(np.column_stack([pp.x.values, np.ones(n)]))
     U = NodeSeq(np.column_stack([pp.u.values, np.zeros(n)]))
     return FramedPolygon(X, U)
 
@@ -156,7 +150,7 @@ def cylindrical_pedal(pp: PlanarPair, tol: ToleranceConfig = DEFAULT_TOL) -> Ped
     """
     planar_curvature(pp, tol)  # parallelism gate
     y = co_normal(pp).values
-    heights = -np.einsum("ij,ij->i", y, pp.centered)
+    heights = -np.einsum("ij,ij->i", y, pp.x.values)
     Yv = np.column_stack([y, heights])
 
     D = dual_pair(lift(pp), tol)
@@ -261,7 +255,7 @@ def is_exact(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     dv = shift_next(v.values) - v.values
     try:
         b = tangential_ratio(dv, dy, tol)
-    except Exception:
+    except NotParallel:
         return False, None
     return True, EdgeSeq(b)
 

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from centropoly import cli, fixtures
+from centropoly import FramedPolygon, cli, duality, fixtures, invariants
 from centropoly.documents import dump_json, framed_to_document
 from centropoly.errors import DualityResidual
 
@@ -202,6 +204,56 @@ def test_verify_rejects_fewer_than_one_instance(instances, capsys):
     assert code == 2
     assert out == ""
     assert "--instances" in err
+
+
+@pytest.mark.parametrize("bounds", ["5.7..6.2", "5..6.5"])
+def test_verify_rejects_non_integral_n_range(bounds, capsys):
+    code, out, err = run(capsys, "verify", "--instances", "1", "--n-range", bounds)
+    assert code == 2
+    assert out == ""
+    assert "ValidationError" in err and "--n-range" in err
+
+
+def test_verify_reports_generation_failures(tmp_path, capsys):
+    # with every radial scale 1 the polygon is planar, so no draw is generic
+    path = tmp_path / "r.json"
+    code, out, _ = run(
+        capsys, "verify", "--instances", "3", "--lambda-range", "1..1", "--report", str(path)
+    )
+    assert code == 4
+    data = json.loads(out)
+    assert [(f["seed"], f["check"]) for f in data["failures"]] == [([0, i], "generate") for i in range(3)]
+    assert all(f["residual"] is None and "generic" in f["error"] for f in data["failures"])
+    assert data["passes"] == 0
+    assert data["checks_per_instance"] == 9
+    assert path.read_text() == out
+
+
+def test_verify_computes_each_invariant_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    fit = counted("fit", invariants._tangential_fit)
+    pair = counted("dual_pair", duality.dual_pair)
+    for module in (invariants, duality):
+        monkeypatch.setattr(module, "_tangential_fit", fit)
+    for module in (cli, duality):
+        monkeypatch.setattr(module, "dual_pair", pair)
+    for name in ("osculating_dets", "delta_values"):
+        prop = cached_property(counted(name, vars(FramedPolygon)[name].func))
+        prop.__set_name__(FramedPolygon, name)
+        monkeypatch.setattr(FramedPolygon, name, prop)
+    code, _, _ = run(capsys, "verify", "--instances", "5")
+    assert code == 0
+    # per instance, the curvature is fitted for (X, U), for its dual, for the
+    # re-dualized polygon of dual_of_dual's self-check and for the planar parts
+    assert calls == {"fit": 4 * 5, "osculating_dets": 5, "delta_values": 5, "dual_pair": 2 * 5}
 
 
 def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, capsys):

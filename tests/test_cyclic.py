@@ -12,8 +12,8 @@ from centropoly import (
     det3,
     edge_diff,
     node_diff,
-    sign_of,
 )
+from centropoly.cyclic import strict_signs
 from centropoly.errors import DegenerateSign
 
 SQUARE = np.array([(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)])
@@ -114,10 +114,7 @@ def test_det3_equals_cross_dot_on_random_triples():
 
 def test_sign_of_dead_band():
     tol = ToleranceConfig(tol_sign=1e-9)
-    assert sign_of(5.0, 1.0, tol) == 1
-    assert sign_of(0.0, 1.0, tol) == 0
-    assert sign_of(-1e-12, 1.0, tol) == 0
-    assert sign_of(-1e-6, 1.0, tol) == -1
+    assert strict_signs([5.0, 0.0, -1e-12, -1e-6], tol).tolist() == [1, 0, 0, -1]
 
 
 def test_sign_changes_all_positive():

@@ -24,7 +24,9 @@ from centropoly import (
     random_framed_polygon,
     random_planar_pair,
     random_radial_instance,
+    random_unimodular_matrix,
 )
+from centropoly import generators
 from centropoly.errors import GenerationFailed, SingularNormalization
 from centropoly.invariants import _alpha_values
 
@@ -172,3 +174,31 @@ def test_gen_config_validation():
         GenConfig(lambda_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         GenConfig(max_retries=0)
+
+
+@pytest.mark.parametrize("generate", [random_convex_polygon, random_planar_pair])
+def test_generators_retry_only_geometry_errors(generate, monkeypatch):
+    def broken(poly, tol):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(generators, "is_convex", broken)
+    with pytest.raises(TypeError, match="planted"):
+        generate(GenConfig(seed=1, n=8))
+
+
+class SingularRng:
+    """Draws only the zero matrix, and stops an unbounded draw loop after 100 000 draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def uniform(self, low, high, size):
+        self.draws += 1
+        if self.draws > 100_000:
+            raise RuntimeError("the draw loop is unbounded")
+        return np.zeros(size)
+
+
+def test_unimodular_matrix_gives_up_on_singular_draws():
+    with pytest.raises(GenerationFailed):
+        random_unimodular_matrix(SingularRng())

@@ -5,6 +5,7 @@ from centropoly import (
     FramedPolygon,
     GenConfig,
     NodeSeq,
+    ToleranceConfig,
     alpha,
     beta,
     curvature_b,
@@ -104,9 +105,34 @@ def test_single_node_perturbation_is_not_parallel(square):
     U = square.U.values.copy()
     U[1] += np.array([1e-3, 0.0, 0.0])
     P = FramedPolygon(square.X, NodeSeq(U))
-    for _ in range(2):  # the remembered verdict is raised again, unchanged
+    for _ in range(2):  # a second call gives the same verdict
         with pytest.raises(NotParallel, match="edge slot 1 "):
             curvature_b(P)
+
+
+def test_curvature_verdict_follows_the_tolerance_of_each_call(square):
+    # curvature -1 everywhere, then U(1) moved off the tangent of edge slot 1
+    # by a relative 2.5e-7: parallel under the loose bound, not the tight one
+    tight, loose = ToleranceConfig(tol_residual=1e-9), ToleranceConfig(tol_residual=1e-3)
+
+    def perturbed():
+        P = reframe(square, 1.0, 1.0)
+        U = P.U.values.copy()
+        U[1] += np.array([1e-6, 0.0, 0.0])
+        return FramedPolygon(P.X, NodeSeq(U))
+
+    with pytest.raises(NotParallel, match="edge slot 1 ") as fresh_tight:
+        curvature_b(perturbed(), tight)
+    fresh_loose = curvature_b(perturbed(), loose).values
+    for order in ((tight, loose), (loose, tight)):
+        P = perturbed()
+        for tol in order:
+            if tol is tight:
+                with pytest.raises(NotParallel) as got:
+                    curvature_b(P, tol)
+                assert str(got.value) == str(fresh_tight.value)
+            else:
+                assert np.array_equal(curvature_b(P, tol).values, fresh_loose)
 
 
 # --- lambda and the osculating decomposition -----------------------------

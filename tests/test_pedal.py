@@ -238,6 +238,13 @@ def test_constant_field_is_exact():
     assert np.array_equal(b.values, np.zeros(4))
 
 
+def test_is_exact_rejects_mismatched_lengths():
+    y = NodeSeq([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    v = NodeSeq(np.tile([0.3, 0.4], (5, 1)))
+    with pytest.raises(ValueError):
+        is_exact(y, v)
+
+
 def test_dual_parts_of_radial_instance_are_exact():
     inst = random_radial_instance(GenConfig(seed=3, n=9))
     y, v = radial_dual_parts(inst)
