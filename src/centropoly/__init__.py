@@ -27,13 +27,10 @@ from .duality import (
     dual_of_dual,
     dual_pair,
     dual_vertex_edges,
-    flattening_vertex_correspondence,
-    reframed_dual,
 )
 from .invariants import (
     FocalPoint,
     FramedPolygon,
-    InvariantBundle,
     StructureFunctions,
     alpha,
     beta,
@@ -42,14 +39,12 @@ from .invariants import (
     ev_natural_field,
     flattening_nodes,
     focal_points,
-    invariant_bundle,
     is_constant_curvature,
     is_equal_volume,
     is_generic,
     is_unimodular,
     delta_identity_residual,
     lambda_coeff,
-    osculating_coefficients,
     reframe,
     structure_functions,
     vertex_edges,

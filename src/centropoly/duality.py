@@ -44,9 +44,7 @@ from .invariants import (
     _tangential_verdict,
     curvature_b,
     delta,
-    flattening_nodes,
     lambda_coeff,
-    reframe,
 )
 
 
@@ -226,24 +224,6 @@ def involution_error(P: FramedPolygon, back: FramedPolygon) -> float:
     )
 
 
-def reframed_dual(
-    P: FramedPolygon, c: float, d: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> DualPair:
-    """Dual of the reframed pair (X, cX + dU); must equal (Y/d, V - (c/d) Y)."""
-    D = dual_pair(P, tol)
-    direct = dual_pair(reframe(P, c, d), tol)
-    Yc = D.Y.values / d
-    Vc = D.V.values - (c / d) * D.Y.values
-    scale = max(float(np.max(np.abs(Yc))), float(np.max(np.abs(Vc))), 1e-300)
-    err = max(
-        float(np.max(np.abs(direct.Y.values - Yc))),
-        float(np.max(np.abs(direct.V.values - Vc))),
-    )
-    if err > tol.tol_residual * scale:
-        raise DualityResidual(f"reframed dual deviates from its closed form by {err:.3e}")
-    return direct
-
-
 @dataclass(frozen=True)
 class CoplanarityReport:
     """Edgewise comparison of node coplanarity with dual normal-line concurrency."""
@@ -280,25 +260,3 @@ def dual_vertex_edges(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> list[i
         return sign_change_nodes(_dual_curvature_jumps(D, tol), tol)
     except DegenerateSign as exc:
         raise NotGeneric("a dual curvature difference has no strict sign") from exc
-
-
-def flattening_vertex_correspondence(
-    P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[int], list[int], bool]:
-    """Flattening nodes of X versus vertex edges of the dual pair.
-
-    Node i of X corresponds to the dual edge i, whose endpoints are the dual
-    nodes at i -+ 1/2; on generic input the two index sets coincide.
-    """
-    flats = flattening_nodes(P, tol)
-    verts = dual_vertex_edges(dual_pair(P, tol), tol)
-    return flats, verts, flats == verts
-
-
-def genericity_matches_dual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Predicate equivalence: X generic iff every dual curvature difference is nonzero."""
-    from .invariants import is_generic
-
-    jumps = _dual_curvature_jumps(dual_pair(P, tol), tol)
-    dual_generic = bool(np.all(strict_signs(jumps, tol) != 0))
-    return is_generic(P, tol) == dual_generic

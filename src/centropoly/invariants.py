@@ -61,18 +61,24 @@ def _tangential_fit(df: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndar
     """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its scale.
 
     The scale |df| + |b| |dg| weighs both factors, so it stays meaningful
-    when single components of dg vanish.
+    when single components of dg vanish.  A zero row of dg makes b, and so
+    the residual, NaN in that slot; dividing by NaN there instead of by 0
+    keeps the 0/0 from warning.
     """
-    b = -np.einsum("ij,ij->i", df, dg) / np.einsum("ij,ij->i", dg, dg)
+    dg_sq = np.einsum("ij,ij->i", dg, dg)
+    b = -np.einsum("ij,ij->i", df, dg) / np.where(dg_sq == 0.0, np.nan, dg_sq)
     resid, df_norm, dg_norm = row_norms(np.array((df + b[:, None] * dg, df, dg)))
     return b, resid, df_norm + np.abs(b) * dg_norm
 
 
 def _tangential_verdict(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
-    """b of a ``_tangential_fit``, or NotParallel when a residual exceeds tol_residual times its scale."""
+    """b of a ``_tangential_fit``, or NotParallel when a residual is not within tol_residual times its scale.
+
+    A NaN residual, from a zero increment, is not within its bound.
+    """
     b, resid, scale = fit
     bound = tol.tol_residual * scale
-    bad = resid > bound
+    bad = ~(resid <= bound)
     k = int(bad.argmax())
     if bad[k]:
         raise NotParallel(
@@ -211,27 +217,6 @@ def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSe
     if np.abs(den - a).max() > tol.tol_residual * scale:
         raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha")
     return NodeSeq(num / a)
-
-
-def osculating_coefficients(
-    P: FramedPolygon, i: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[float, float]:
-    """Decompose -lambda(i) X(i) + U(i) = A X'(i-1/2) + B X'(i+1/2).
-
-    The vector lies in the plane of the two edge vectors by the osculating
-    condition; A must equal -beta(i+1/2) / alpha(i), which is re-checked.
-    """
-    i = i % P.n
-    lam = lambda_coeff(P, tol).values[i]
-    w = -lam * P.centered[i] + P.U.values[i]
-    basis = np.stack([P.edge_vectors[i - 1], P.edge_vectors[i]], axis=1)
-    (A, B), *_ = np.linalg.lstsq(basis, w, rcond=None)
-    expected = -P.beta_values[i] / P.alpha_values[i]
-    if abs(A - expected) > tol.tol_residual * max(1.0, abs(expected)):
-        raise IdentityCheckFailed(
-            f"first osculating coefficient {A!r} deviates from -beta/alpha {expected!r}"
-        )
-    return float(A), float(B)
 
 
 def delta(poly) -> EdgeSeq:
@@ -456,30 +441,3 @@ def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
         raise NonTransversal("reframing needs a positive coefficient on U")
     U = NodeSeq(c * P.centered + d * P.U.values)
     return FramedPolygon(P.X, U, P.origin)
-
-
-@dataclass(frozen=True)
-class InvariantBundle:
-    """The full invariant table of a framed polygon with a parallel field."""
-
-    alpha: NodeSeq
-    beta: EdgeSeq
-    b: EdgeSeq
-    lam: NodeSeq
-    delta: EdgeSeq
-
-
-def invariant_bundle(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> InvariantBundle:
-    bundle = InvariantBundle(
-        alpha=alpha(P),
-        beta=beta(P),
-        b=curvature_b(P, tol),
-        lam=lambda_coeff(P, tol),
-        delta=delta(P),
-    )
-    resid = delta_identity_residual(P, tol)
-    if resid > tol.tol_residual:
-        raise IdentityCheckFailed(
-            f"beta*Delta = lambda'*alpha*alpha residual {resid:.3e} out of tolerance"
-        )
-    return bundle

@@ -27,7 +27,6 @@ from centropoly import (
     ev_natural_field,
     cylindrical_pedal,
     flattening_nodes,
-    invariant_bundle,
     is_constant_curvature,
     is_convex,
     is_equal_volume,
@@ -342,15 +341,15 @@ def test_criterion_11_equivariance():
     for i in range(50):
         n = int(np.random.default_rng([90, i, 0]).integers(5, 21))
         P = random_framed_polygon(GenConfig(seed=[90, i, 1], n=n))
-        base = invariant_bundle(P)
+        assert delta_identity_residual(P) <= TOL
         flats, verts = flattening_nodes(P), vertex_edges(P)
         good = True
         for _ in range(20):
             M = random_unimodular_matrix(rng)
             Q = FramedPolygon(NodeSeq(P.X.values @ M.T), NodeSeq(P.U.values @ M.T))
-            other = invariant_bundle(Q)
-            for name in ("alpha", "beta", "b", "lam", "delta"):
-                a, b = getattr(base, name).values, getattr(other, name).values
+            assert delta_identity_residual(Q) <= TOL
+            for f in (alpha, beta, curvature_b, lambda_coeff, delta):
+                a, b = f(P).values, f(Q).values
                 worst = max(worst, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a)))))
             good = good and flattening_nodes(Q) == flats and vertex_edges(Q) == verts
         sets_ok += bool(good)

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_analyze_hexagon_flattenings(docs, capsys):
 
 
 def test_analyze_rejects_bad_field_length(docs, tmp_path, capsys):
-    doc = json.loads(open(docs["square"]).read())
+    doc = json.loads(Path(docs["square"]).read_text())
     doc["field"] = doc["field"][:-1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -67,7 +68,7 @@ def test_analyze_rejects_bad_field_length(docs, tmp_path, capsys):
 @pytest.mark.parametrize("make_n", [lambda n: n + 0.9, lambda n: True, str],
                          ids=["float", "bool", "string"])
 def test_documents_need_a_json_integer_n(command, key, make_n, docs, tmp_path, capsys):
-    doc = json.loads(open(docs[key]).read())
+    doc = json.loads(Path(docs[key]).read_text())
     doc["n"] = make_n(doc["n"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -256,12 +257,15 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
     assert calls == {"fit": 4 * 5, "osculating_dets": 5, "delta_values": 5, "dual_pair": 2 * 5}
 
 
-def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, capsys):
-    # at n = 1000 the re-dualization deviates by about 5e-7, beyond dual_of_dual's bound
-    code, out, _ = run(capsys, "generate", "--kind", "framed", "--n", "1000", "--seed", "1")
+def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def raising(D, tol):
+        raise DualityResidual("planted")
+
+    code, out, _ = run(capsys, "generate", "--kind", "framed", "--n", "12", "--seed", "7")
     assert code == 0
-    path = tmp_path / "large.json"
+    path = tmp_path / "framed.json"
     path.write_text(out)
+    monkeypatch.setattr(cli, "dual_of_dual", raising)
     code, out, err = run(capsys, "dual", str(path), "--roundtrip")
     assert code == 1
     assert out == ""

@@ -10,16 +10,19 @@ from centropoly import (
     dual_invariants,
     dual_of_dual,
     dual_pair,
-    flattening_vertex_correspondence,
+    dual_vertex_edges,
+    flattening_nodes,
+    is_generic,
     lambda_coeff,
     planted_coplanar_instance,
     random_equal_volume_polygon,
     random_framed_polygon,
     random_unimodular_matrix,
-    reframed_dual,
+    reframe,
+    vertex_edges,
 )
-from centropoly.duality import dual_alpha_values, dual_beta_values, genericity_matches_dual
-from centropoly.errors import DualityResidual, NonTransversal
+from centropoly.duality import dual_alpha_values, dual_beta_values
+from centropoly.errors import DualityResidual
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -151,6 +154,21 @@ def test_involution_on_random_instances():
     assert worst <= 1e-9
 
 
+def reframed_dual(P, c, d):
+    """Dual of (X, cX + dU), checked against the closed form (Y/d, V - (c/d) Y) of P's dual."""
+    D = dual_pair(P)
+    direct = dual_pair(reframe(P, c, d))
+    Yc = D.Y.values / d
+    Vc = D.V.values - (c / d) * D.Y.values
+    scale = max(float(np.max(np.abs(Yc))), float(np.max(np.abs(Vc))), 1e-300)
+    err = max(
+        float(np.max(np.abs(direct.Y.values - Yc))),
+        float(np.max(np.abs(direct.V.values - Vc))),
+    )
+    assert err <= 1e-9 * scale
+    return direct
+
+
 def test_reframed_dual_identity(square):
     D0 = dual_pair(square)
     D1 = reframed_dual(square, 0.0, 1.0)
@@ -171,12 +189,7 @@ def test_reframed_dual_random():
     for seed in range(15):
         P = random_framed_polygon(GenConfig(seed=80 + seed, n=5 + (seed % 12)))
         c, d = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
-        reframed_dual(P, c, d)  # raises DualityResidual on mismatch
-
-
-def test_reframed_dual_rejects_nonpositive_scale(square):
-    with pytest.raises(NonTransversal):
-        reframed_dual(square, 1.0, -1.0)
+        reframed_dual(P, c, d)
 
 
 def test_coplanarity_planar_polygon_fully_degenerate(square):
@@ -203,24 +216,36 @@ def test_coplanarity_generic_instances_fire_nowhere():
 
 
 def test_flattening_vertex_correspondence_hexagon(hexagon):
-    flats, verts, equal = flattening_vertex_correspondence(hexagon)
-    assert equal
-    assert flats == verts == [0, 2, 4, 5]
+    assert flattening_nodes(hexagon) == dual_vertex_edges(dual_pair(hexagon)) == [0, 2, 4, 5]
 
 
 def test_flattening_vertex_correspondence_random():
     for seed in range(25):
         P = random_framed_polygon(GenConfig(seed=400 + seed, n=5 + (seed % 18)))
-        flats, verts, equal = flattening_vertex_correspondence(P)
-        assert equal, (seed, flats, verts)
+        flats, verts = flattening_nodes(P), dual_vertex_edges(dual_pair(P))
+        assert flats == verts, (seed, flats, verts)
+
+
+def test_vertex_flattening_correspondence_random():
+    # the other half of the correspondence: vertex edges of (X, U) are the
+    # flattening nodes of the dual polygon Y, with no index shift
+    for i in range(200):
+        n = int(np.random.default_rng([9, i, 0]).integers(5, 51))
+        P = random_framed_polygon(GenConfig(seed=[9, i, 1], n=n))
+        verts, flats = vertex_edges(P), flattening_nodes(NodeSeq(dual_pair(P).Y.values))
+        assert verts == flats, (i, verts, flats)
 
 
 def test_genericity_predicate_matches_dual():
+    def matches_dual(P):
+        rep = coplanarity_concurrency_check(P, dual_pair(P))
+        return is_generic(P) == (not any(rep.concurrent))
+
     for seed in range(10):
         P = random_framed_polygon(GenConfig(seed=500 + seed, n=6 + seed))
-        assert genericity_matches_dual(P)
+        assert matches_dual(P)
     planted, _ = planted_coplanar_instance(GenConfig(seed=7, n=7))
-    assert genericity_matches_dual(planted)
+    assert matches_dual(planted)
 
 
 def test_dual_of_equal_volume_unimodular_is_equal_volume_unimodular():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from centropoly import (
+    DEFAULT_TOL,
     FramedPolygon,
     GenConfig,
     NodeSeq,
@@ -12,14 +13,12 @@ from centropoly import (
     delta,
     flattening_nodes,
     focal_points,
-    invariant_bundle,
     is_constant_curvature,
     is_equal_volume,
     is_generic,
     is_unimodular,
     delta_identity_residual,
     lambda_coeff,
-    osculating_coefficients,
     random_framed_polygon,
     random_unimodular_matrix,
     reframe,
@@ -32,6 +31,7 @@ from centropoly.errors import (
     NotLocallyConvex,
     NotParallel,
 )
+from centropoly.invariants import tangential_ratio
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -101,6 +101,12 @@ def test_reframed_square_curvature(square):
     assert np.allclose(curvature_b(reframe(square, 1.0, 1.0)).values, -1.0, rtol=0, atol=1e-15)
 
 
+def test_tangential_ratio_rejects_a_zero_increment():
+    dg = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(NotParallel, match="edge slot 1 "):
+        tangential_ratio(-2.0 * dg, dg, DEFAULT_TOL)
+
+
 def test_single_node_perturbation_is_not_parallel(square):
     U = square.U.values.copy()
     U[1] += np.array([1e-3, 0.0, 0.0])
@@ -154,6 +160,14 @@ def test_lambda_shifts_under_field_shift(square):
                        rtol=0, atol=1e-12)
 
 
+def osculating_coefficients(P, i):
+    """Oracle: A, B with -lambda(i) X(i) + U(i) = A X'(i-1/2) + B X'(i+1/2), by least squares."""
+    w = -lambda_coeff(P).values[i] * P.centered[i] + P.U.values[i]
+    basis = np.stack([P.edge_vectors[i - 1], P.edge_vectors[i]], axis=1)
+    (A, B), *_ = np.linalg.lstsq(basis, w, rcond=None)
+    return float(A), float(B)
+
+
 def test_osculating_coefficients_square(square):
     A, B = osculating_coefficients(square, 0)
     assert A == pytest.approx(-0.5, abs=1e-12)
@@ -164,6 +178,15 @@ def test_first_osculating_coefficient_invariant_under_shift(square):
     A0, _ = osculating_coefficients(square, 2)
     A1, _ = osculating_coefficients(reframe(square, -1.3, 1.0), 2)
     assert A1 == pytest.approx(A0, abs=1e-12)
+
+
+def test_first_osculating_coefficient_is_minus_beta_over_alpha():
+    for seed in range(10):
+        P = random_framed_polygon(GenConfig(seed=[70, seed], n=5 + 4 * seed))
+        for i in range(P.n):
+            A, _ = osculating_coefficients(P, i)
+            expected = -P.beta_values[i] / P.alpha_values[i]
+            assert abs(A - expected) <= 1e-9 * max(1.0, abs(expected)), (seed, i)
 
 
 def test_exact_decomposition_when_field_in_edge_plane(square):
@@ -347,9 +370,9 @@ def test_delta_identity_invariant_under_field_shift():
 
 
 def test_invariant_bundle_roundtrip(square):
-    bundle = invariant_bundle(square)
-    assert np.array_equal(bundle.alpha.values, [4.0] * 4)
-    assert np.array_equal(bundle.b.values, [0.0] * 4)
+    assert np.array_equal(alpha(square).values, [4.0] * 4)
+    assert np.array_equal(curvature_b(square).values, [0.0] * 4)
+    assert delta_identity_residual(square) <= 1e-9
 
 
 # --- equal volume / unimodular flags ---------------------------------------
@@ -396,16 +419,16 @@ def test_reframe_preserves_vertices():
 def test_invariants_unchanged_under_unimodular_maps():
     rng = np.random.default_rng(17)
     P = random_framed_polygon(GenConfig(seed=23, n=11))
-    base = invariant_bundle(P)
+    assert delta_identity_residual(P) <= 1e-9
     flats, verts = flattening_nodes(P), vertex_edges(P)
     for _ in range(5):
         M = random_unimodular_matrix(rng)
         Q = FramedPolygon(NodeSeq(P.X.values @ M.T), NodeSeq(P.U.values @ M.T))
-        other = invariant_bundle(Q)
-        for name in ("alpha", "beta", "b", "lam", "delta"):
-            a = getattr(base, name).values
-            b = getattr(other, name).values
+        assert delta_identity_residual(Q) <= 1e-9
+        for f in (alpha, beta, curvature_b, lambda_coeff, delta):
+            a = f(P).values
+            b = f(Q).values
             scale = max(1.0, float(np.max(np.abs(a))))
-            assert np.max(np.abs(a - b)) <= 1e-9 * scale, name
+            assert np.max(np.abs(a - b)) <= 1e-9 * scale, f.__name__
         assert flattening_nodes(Q) == flats
         assert vertex_edges(Q) == verts

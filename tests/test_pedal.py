@@ -245,6 +245,21 @@ def test_is_exact_rejects_mismatched_lengths():
         is_exact(y, v)
 
 
+def repeated_node_pair():
+    """A pair whose y has a repeated node, so one increment of y and of v is zero."""
+    y = NodeSeq([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    return y, NodeSeq(-y.values)
+
+
+def test_is_exact_rejects_a_zero_increment():
+    assert is_exact(*repeated_node_pair()) == (False, None)
+
+
+def test_planar_vertices_reject_a_zero_increment():
+    with pytest.raises(NotExact):
+        planar_vertices(*repeated_node_pair())
+
+
 def test_dual_parts_of_radial_instance_are_exact():
     inst = random_radial_instance(GenConfig(seed=3, n=9))
     y, v = radial_dual_parts(inst)
