@@ -167,7 +167,7 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
     raw = load_document(args.input)
     if args.invert:
         doc = parse_polygon_document(raw)
-        nodes = NodeSeq(doc.nodes)
+        nodes = NodeSeq(doc.nodes - doc.origin)
         if doc.field is None:
             E = E3
         else:
@@ -178,7 +178,7 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
                     "pair has non-constant curvature, so its dual polygon is not planar"
                 )
             b = curvature_b(shifted, tol).values
-            E_field = doc.field + float(np.mean(b)) * doc.nodes
+            E_field = doc.field + float(np.mean(b)) * nodes.values
             spread = np.max(np.abs(E_field - E_field.mean(axis=0)))
             if spread > tol.tol_residual * max(1.0, float(np.max(np.abs(E_field)))):
                 raise NotPlanarDual("no constant transversal field exists for this pair")

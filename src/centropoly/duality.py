@@ -40,11 +40,9 @@ from .errors import DegenerateSign, DualityResidual, NotGeneric, NotParallel
 from .invariants import (
     FramedPolygon,
     _alpha_values,
+    _lambda_values,
     _tangential_fit,
     _tangential_verdict,
-    curvature_b,
-    delta,
-    lambda_coeff,
 )
 
 
@@ -79,14 +77,6 @@ class DualReport:
     sigma_fit_residual: float
 
 
-def _is_parallel(P: FramedPolygon, tol: ToleranceConfig) -> bool:
-    try:
-        curvature_b(P, tol)
-        return True
-    except NotParallel:
-        return False
-
-
 # The defining relations in checking order.  The first six hold for every
 # transversal field; the last four, at the far node of each edge, need U
 # parallel.
@@ -113,10 +103,12 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
     duals = cross3(np.array((r, e)), np.array((r_next, u))) / P.beta_values[:, None]
     Yv, Vv = duals
 
-    if _is_parallel(P, tol):
-        partners = np.array((e, u, r, P.field_next, r_next))
-    else:
+    try:
+        _tangential_verdict(P.curvature_fit, tol)
+    except NotParallel:
         partners = np.array((e, u, r))
+    else:
+        partners = np.array((e, u, r, P.field_next, r_next))
     want = _RELATION_WANT[:, : len(partners)]
     got = np.einsum("dij,pij->dpi", duals, partners)
     norms = row_norms(np.array((r, u, Yv, Vv)))
@@ -178,7 +170,7 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     parallel_resid = float(np.max(crossnorm / np.where(denom == 0.0, 1.0, denom)))
 
     b_dual = dual_curvature(D, tol)
-    lam = lambda_coeff(P, tol).values
+    lam = _lambda_values(P, tol)
     lam_scale = max(1.0, float(np.max(np.abs(lam))))
     dev = {s: float(np.max(np.abs(b_dual - s * lam))) for s in (1, -1)}
     sigma = min(dev, key=dev.get)
@@ -245,8 +237,8 @@ def coplanarity_concurrency_check(
     by the curvature-equality criterion b(Y,V)(i) = b(Y,V)(i+1), not by
     intersecting lines in floating point.
     """
-    curvature_b(P, tol)  # the correspondence needs a parallel field
-    coplanar = strict_signs(delta(P).values, tol) == 0
+    _tangential_verdict(P.curvature_fit, tol)  # the correspondence needs a parallel field
+    coplanar = strict_signs(P.delta_values, tol) == 0
     concurrent = strict_signs(_dual_curvature_jumps(D, tol), tol) == 0
     return CoplanarityReport(
         coplanar=tuple(bool(x) for x in coplanar),

@@ -33,7 +33,6 @@ from .cyclic import (
     cross3,
     cyclic_sign_changes,
     det3,
-    edge_diff,
     node_diff,
     row_norms,
     second_diff,
@@ -74,13 +73,19 @@ def _tangential_fit(df: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _tangential_verdict(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
     """b of a ``_tangential_fit``, or NotParallel when a residual is not within tol_residual times its scale.
 
-    A NaN residual, from a zero increment, is not within its bound.
+    A NaN residual, from an edge increment that is zero or whose square is
+    out of floating-point range, fails its bound with an error saying so.
     """
     b, resid, scale = fit
     bound = tol.tol_residual * scale
     bad = ~(resid <= bound)
     k = int(bad.argmax())
     if bad[k]:
+        if np.isnan(resid[k]):
+            raise NotParallel(
+                f"increment at edge slot {k} has no tangential fit "
+                "(the edge increment is zero or out of range)"
+            )
         raise NotParallel(
             f"increment at edge slot {k} is not tangential "
             f"(residual {resid[k]:.3e} > bound {bound[k]:.3e})"
@@ -204,6 +209,15 @@ def curvature_b(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq
     return EdgeSeq(_tangential_verdict(P.curvature_fit, tol))
 
 
+def _lambda_values(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
+    den, num = P.osculating_dets
+    a = P.alpha_values
+    scale = float(np.abs(a).max())
+    if np.abs(den - a).max() > tol.tol_residual * scale:
+        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha")
+    return num / a
+
+
 def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
     """Osculating coefficients lambda(i) with [X', X'', -lambda X + U] = 0.
 
@@ -211,12 +225,11 @@ def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSe
     [X', X'', X] expands to exactly alpha(i), which is re-checked here, so
     local convexity guarantees well-posedness.
     """
-    den, num = P.osculating_dets
-    a = P.alpha_values
-    scale = float(np.abs(a).max())
-    if np.abs(den - a).max() > tol.tol_residual * scale:
-        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha")
-    return NodeSeq(num / a)
+    return NodeSeq(_lambda_values(P, tol))
+
+
+def _delta_of(poly) -> np.ndarray:
+    return poly.delta_values if isinstance(poly, FramedPolygon) else _delta_values(poly.values)
 
 
 def delta(poly) -> EdgeSeq:
@@ -225,12 +238,12 @@ def delta(poly) -> EdgeSeq:
     Accepts a FramedPolygon or a bare NodeSeq of 3-vectors; the origin drops
     out since only differences enter.
     """
-    return EdgeSeq(poly.delta_values if isinstance(poly, FramedPolygon) else _delta_values(poly.values))
+    return EdgeSeq(_delta_of(poly))
 
 
 def is_generic(poly, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when every Delta has a strict sign under the dead-band."""
-    return bool((strict_signs(delta(poly), tol) != 0).all())
+    return bool((strict_signs(_delta_of(poly), tol) != 0).all())
 
 
 def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
@@ -241,18 +254,15 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     lambda' is evaluated as a cross-check.
     """
     try:
-        nodes = sign_change_nodes(delta(poly), tol)
+        nodes = sign_change_nodes(_delta_of(poly), tol)
     except DegenerateSign as exc:
         raise NotGeneric(str(exc)) from exc
     if isinstance(poly, FramedPolygon):
         try:
-            lam = lambda_coeff(poly, tol)
-            curvature_b(poly, tol)
-        except (NotParallel, IdentityCheckFailed):
-            return nodes
-        try:
-            lam_nodes = sign_change_nodes(node_diff(lam), tol)
-        except DegenerateSign:
+            lam = _lambda_values(poly, tol)
+            _tangential_verdict(poly.curvature_fit, tol)
+            lam_nodes = sign_change_nodes(shift_next(lam) - lam, tol)
+        except (NotParallel, IdentityCheckFailed, DegenerateSign):
             return nodes
         if lam_nodes != nodes:
             raise IdentityCheckFailed(
@@ -263,9 +273,8 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
 
 def vertex_edges(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Edges (i+1/2) where b'(i) * b'(i+1) < 0, for a parallel field."""
-    b = curvature_b(P, tol)
-    db = edge_diff(b)
-    _, junctions = cyclic_sign_changes(db, tol)
+    b = _tangential_verdict(P.curvature_fit, tol)
+    _, junctions = cyclic_sign_changes(b - shift_prev(b), tol)
     return sorted(junctions)
 
 
@@ -285,7 +294,7 @@ def focal_points(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[F
     curvature has no strict sign yield the common direction U(i) instead:
     the two normal lines are parallel and meet at infinity.
     """
-    b = curvature_b(P, tol).values
+    b = _tangential_verdict(P.curvature_fit, tol)
     signs = strict_signs(b, tol)
     r, u = P.centered, P.U.values
     r_next, u_next = P.centered_next, P.field_next
@@ -318,7 +327,7 @@ def is_constant_curvature(
     du = P.field_next - u
     if np.max(row_norms(du)) <= tol.tol_sign * np.max(row_norms(u)):
         return True, u[0].copy()
-    b = curvature_b(P, tol).values
+    b = _tangential_verdict(P.curvature_fit, tol)
     bmax = float(np.max(np.abs(b)))
     if np.max(np.abs(b - b.mean())) > tol.tol_residual * bmax:
         return False, None
@@ -332,10 +341,10 @@ def delta_identity_residual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     A validation diagnostic: the identity holds exactly for any framed
     polygon with a parallel field, so the residual measures numerical noise.
     """
-    curvature_b(P, tol)  # parallelism gate
-    lhs = P.beta_values * delta(P).values
-    dlam = node_diff(lambda_coeff(P, tol)).values
-    rhs = dlam * P.alpha_values * shift_next(P.alpha_values)
+    _tangential_verdict(P.curvature_fit, tol)  # parallelism gate
+    lhs = P.beta_values * P.delta_values
+    lam = _lambda_values(P, tol)
+    rhs = (shift_next(lam) - lam) * P.alpha_values * shift_next(P.alpha_values)
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
@@ -421,7 +430,7 @@ def ev_natural_field(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
     lam = np.concatenate([[0.0], -np.cumsum(tau[:-1])])
     U = NodeSeq(second_diff(X).values + lam[:, None] * X.values)
     P = FramedPolygon(X, U)  # validates transversality
-    curvature_b(P, tol)  # validates parallelism
+    _tangential_verdict(P.curvature_fit, tol)  # validates parallelism
     if not is_unimodular(P, tol):
         raise IdentityCheckFailed("natural field failed the unimodularity check")
     dX, ddX = P.edge_vectors, P.second_diffs

@@ -33,7 +33,6 @@ from .cyclic import (
     as_vec3,
     cross3,
     det3,
-    edge_diff,
     shift_next,
     shift_prev,
     sign_change_nodes,
@@ -272,7 +271,7 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
     if not ok:
         raise NotExact("the field is not exact with respect to the polygon")
     try:
-        return sign_change_nodes(edge_diff(b), tol)
+        return sign_change_nodes(b.values - shift_prev(b.values), tol)
     except DegenerateSign as exc:
         raise NotGeneric("a curvature difference has no strict sign") from exc
 
@@ -292,19 +291,16 @@ def make_radial_instance(gamma: NodeSeq, lam: NodeSeq, tol: ToleranceConfig = DE
     """Assemble X = lam * (gamma, 1), re-centering gamma when (0,0) is not interior."""
     if np.any(lam.values <= 0.0):
         raise ValueError("radial scales must be positive")
-    g = gamma.values
-    if _origin_interior(g):
-        interior = True
-    else:
-        shift = _area_centroid(g)
-        g = g - shift
-        interior = _origin_interior(g)
-    X = NodeSeq(np.column_stack([g * lam.values[:, None], lam.values]))
+    interior = _origin_interior(gamma.values)
+    if not interior:
+        gamma = NodeSeq(gamma.values - _area_centroid(gamma.values))
+        interior = _origin_interior(gamma.values)
+    X = NodeSeq(np.column_stack([gamma.values * lam.values[:, None], lam.values]))
     try:
-        convex = is_convex(NodeSeq(g), tol)
+        convex = is_convex(gamma, tol)
     except DegenerateSign:
         convex = False
-    return RadialInstance(NodeSeq(g), lam, X, convex, interior)
+    return RadialInstance(gamma, lam, X, convex, interior)
 
 
 def radial_projection(X: NodeSeq, origin=(0.0, 0.0, 0.0), tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:

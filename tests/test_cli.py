@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from centropoly import FramedPolygon, cli, duality, fixtures, invariants
+from centropoly import FramedPolygon, cli, cyclic, duality, fixtures, invariants
 from centropoly.documents import dump_json, framed_to_document
 from centropoly.errors import DualityResidual
 
@@ -102,6 +102,31 @@ def test_pedal_forward_and_invert(docs, tmp_path, capsys):
     assert code == 0
     back = json.loads(out)
     assert np.max(np.abs(np.array(back["x"]) - [[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]])) <= 1e-9
+
+
+def test_pedal_invert_reads_the_document_origin(tmp_path, capsys):
+    code, out, _ = run(capsys, "generate", "--kind", "planar", "--n", "12", "--seed", "7")
+    assert code == 0
+    planar = json.loads(out)
+    path = tmp_path / "planar.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "pedal", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    t = [0.5, -0.25, 2.0]
+    doc["nodes"] = (np.array(doc["nodes"]) + t).tolist()
+    doc["origin"] = t
+    x, u = np.array(planar["x"]), np.array(planar["u"])
+    bound = 1e-12 * np.max(np.abs(x))
+    for fieldless in (False, True):  # the field, then E3 by default
+        if fieldless:
+            del doc["field"]
+        path.write_text(dump_json(doc))
+        code, out, _ = run(capsys, "pedal", str(path), "--invert")
+        assert code == 0
+        back = json.loads(out)
+        assert np.max(np.abs(np.array(back["x"]) - x)) <= bound
+        assert np.max(np.abs(np.array(back["u"]) - u)) <= bound
 
 
 def test_pedal_invert_rejects_nonconstant_curvature(tmp_path, capsys):
@@ -250,8 +275,14 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         prop = cached_property(counted(name, vars(FramedPolygon)[name].func))
         prop.__set_name__(FramedPolygon, name)
         monkeypatch.setattr(FramedPolygon, name, prop)
+    monkeypatch.setattr(cyclic._CyclicSeq, "__init__", counted("wrap", cyclic._CyclicSeq.__init__))
     code, _, _ = run(capsys, "verify", "--instances", "5")
     assert code == 0
+    # NodeSeq/EdgeSeq are built only where a public function returns one:
+    # the generated instance, its field, two dual pairs, the re-dualized
+    # polygon, the planar parts and the planar curvatures (29 when every
+    # layer re-wrapped its arrays)
+    assert calls.pop("wrap") <= 13 * 5
     # per instance, the curvature is fitted for (X, U), for its dual, for the
     # re-dualized polygon of dual_of_dual's self-check and for the planar parts
     assert calls == {"fit": 4 * 5, "osculating_dets": 5, "delta_values": 5, "dual_pair": 2 * 5}

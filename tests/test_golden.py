@@ -1,0 +1,95 @@
+"""Golden outputs: the sha256 prefix of stdout and the exit code of fixed CLI runs.
+
+A change that keeps every floating-point operation keeps these bytes.  A
+change that alters an output on purpose updates its value here and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from centropoly import cli
+
+GENERATE = {
+    "framed": (("--kind", "framed", "--n", "12", "--seed", "7"), "97af493277058284"),
+    "radial": (("--kind", "radial", "--n", "12", "--seed", "7"), "ef6d06dbc970e6fd"),
+    "equal-volume": (("--kind", "equal-volume", "--n", "10", "--seed", "7"), "157da6dace3e8953"),
+    "planar": (("--kind", "planar", "--n", "12", "--seed", "7"), "a050a12a4b79007d"),
+    "framed-40": (("--kind", "framed", "--n", "40", "--seed", "3"), "4cf8808311bf1d28"),
+    "framed-300": (("--kind", "framed", "--n", "300", "--seed", "11"), "73d4b488485e20e6"),
+}
+
+# (command, document) -> stdout prefix; every run exits 0
+DOCUMENTS = {
+    ("analyze", "framed"): "57b85fa5e39d1390",
+    ("analyze", "radial"): "e417fcd3f15ee1d3",
+    ("analyze", "equal-volume"): "8679c28fe15f54eb",
+    ("analyze", "framed-40"): "a9e154d3e4bf79ee",
+    ("analyze", "framed-300"): "a507b9d3b0f0dd0e",
+    ("dual --roundtrip", "framed"): "782d9cc35ba0c905",
+    ("dual --roundtrip", "radial"): "305f999cf0d596ee",
+    ("dual --roundtrip", "equal-volume"): "15fafb14785d480a",
+    ("dual --roundtrip", "framed-40"): "c88f8f30bfdcf967",
+    ("dual --roundtrip", "framed-300"): "44a0f82518cab371",
+    ("export --with-focal", "framed"): "7b7a98255cbea0b7",
+    ("export --with-focal", "radial"): "7d9c8c2a1c5a4964",
+    ("export --with-focal", "equal-volume"): "9a4e1b941dd0aa2e",
+    ("export --with-focal", "framed-40"): "3fa1e7c83f899d7c",
+    ("export --with-focal", "framed-300"): "b5a312a5e6ae27cd",
+    ("pedal", "planar"): "8cb37b8382b44d35",
+    ("pedal --invert", "pedal"): "634065a8a29fd4a9",
+}
+
+VERIFY = [
+    (("--instances", "100", "--seed", "1"), 0, "23ff26aa613ab5e5"),
+    (("--instances", "300", "--seed", "5", "--n-range", "5..12"), 0, "8db955c1839348bb"),
+    (("--instances", "40", "--seed", "2", "--n-range", "40..120"), 0, "9cf02d5728453b5c"),
+    (("--instances", "3", "--lambda-range", "1..1"), 4, "4f47ede6ea4f3053"),
+]
+
+
+def run(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and its sha256 prefix of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    text = out.getvalue()
+    return code, text, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """Path, exit code and stdout prefix of each generated document; "pedal" holds the pedal's path."""
+    base = tmp_path_factory.mktemp("golden")
+    out = {}
+    for name, (args, _) in GENERATE.items():
+        code, text, digest = run("generate", *args)
+        path = base / f"{name}.json"
+        path.write_text(text)
+        out[name] = (str(path), code, digest)
+    _, text, _ = run("pedal", out["planar"][0])  # checked as the ("pedal", "planar") case
+    path = base / "pedal.json"
+    path.write_text(text)
+    out["pedal"] = (str(path), None, None)
+    return out
+
+
+@pytest.mark.parametrize("name", GENERATE)
+def test_generate_golden(generated, name):
+    _, code, digest = generated[name]
+    assert (code, digest) == (0, GENERATE[name][1])
+
+
+@pytest.mark.parametrize("command, name", DOCUMENTS, ids=[" ".join(k) for k in DOCUMENTS])
+def test_document_command_golden(generated, command, name):
+    verb, *flags = command.split()
+    code, _, digest = run(verb, generated[name][0], *flags)
+    assert (code, digest) == (0, DOCUMENTS[command, name])
+
+
+@pytest.mark.parametrize("args, exit_code, want", VERIFY, ids=[" ".join(v[0]) for v in VERIFY])
+def test_verify_golden(args, exit_code, want):
+    code, _, digest = run("verify", *args)
+    assert (code, digest) == (exit_code, want)

@@ -103,8 +103,9 @@ def test_reframed_square_curvature(square):
 
 def test_tangential_ratio_rejects_a_zero_increment():
     dg = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(NotParallel, match="edge slot 1 "):
+    with pytest.raises(NotParallel, match="edge slot 1 ") as info:
         tangential_ratio(-2.0 * dg, dg, DEFAULT_TOL)
+    assert "zero" in str(info.value) and "nan" not in str(info.value)
 
 
 def test_single_node_perturbation_is_not_parallel(square):
