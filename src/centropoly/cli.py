@@ -15,7 +15,7 @@ import numpy as np
 
 from .cyclic import NodeSeq, ToleranceConfig
 from .documents import (
-    VerificationReport,
+    document_nodes,
     document_to_framed,
     dump_json,
     framed_to_document,
@@ -86,14 +86,14 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
     P = document_to_framed(doc)
     out: dict = {
         "n": P.n,
-        "origin": P.origin.tolist(),
+        "origin": doc.origin.tolist(),
         "input_indexing": doc.indexing,
         "alpha": _node(alpha(P).values),
         "beta": _edge(beta(P).values),
         "delta": _edge(delta(P).values),
         "lambda": _node(lambda_coeff(P, tol).values),
         "is_generic": is_generic(P, tol),
-        "is_equal_volume": is_equal_volume(P.X, P.origin, tol),
+        "is_equal_volume": is_equal_volume(P.X, tol),
         "is_unimodular": is_unimodular(P, tol),
     }
     try:
@@ -108,7 +108,7 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
         focal = []
         for fp in focal_points(P, tol):
             if fp.kind == "finite":
-                focal.append({"kind": "finite", "position": fp.position.tolist()})
+                focal.append({"kind": "finite", "position": (fp.position + doc.origin).tolist()})
             else:
                 focal.append({"kind": "at_infinity", "direction": fp.direction.tolist()})
         out["focal_points"] = {"indexing": "edge", "values": focal}
@@ -167,7 +167,7 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
     raw = load_document(args.input)
     if args.invert:
         doc = parse_polygon_document(raw)
-        nodes = NodeSeq(doc.nodes - doc.origin)
+        nodes = document_nodes(doc)
         if doc.field is None:
             E = E3
         else:
@@ -323,15 +323,15 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
             histogram[count] = histogram.get(count, 0) + 1
             if sigma_ref is None:
                 sigma_ref = got["report"].sign_sigma
-    report = VerificationReport(
-        instances=args.instances,
-        checks_per_instance=len(battery),
-        passes=passes,
-        failures=failures,
-        flattening_histogram=histogram,
-        sigma_observed=sigma_ref,
-    )
-    text = dump_json(report.to_json_obj())
+    report = {
+        "instances": args.instances,
+        "checks_per_instance": len(battery),
+        "passes": passes,
+        "failures": failures,
+        "flattening_histogram": {str(k): v for k, v in histogram.items()},
+        "sigma_observed": sigma_ref,
+    }
+    text = dump_json(report)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -355,7 +355,7 @@ def cmd_export(args, tol: ToleranceConfig) -> int:
     if args.with_focal:
         P = document_to_framed(doc)
         pts = focal_points(P, tol)
-        finite = [fp.position for fp in pts if fp.kind == "finite"]
+        finite = [fp.position + doc.origin for fp in pts if fp.kind == "finite"]
         skipped = len(pts) - len(finite)
         lines.append("o focal")
         for pos in finite:

@@ -5,7 +5,10 @@ Spatial documents carry a closed polygon and an optional node field::
     {"n": 4, "nodes": [[x, y, z], ...], "field": [[...], ...],
      "origin": [0, 0, 0], "indexing": "node"}
 
-``indexing`` is "node" for integer-indexed slots and "edge" when slot k
+``origin`` is the point the polygon is taken about.  It is subtracted
+from the nodes where a document is read (``document_nodes``), so the
+library works about (0, 0, 0) only; commands that print positions add it
+back.  ``indexing`` is "node" for integer-indexed slots and "edge" when slot k
 holds the value at index k + 1/2; the tag keeps the half-integer convention
 in-band.  Planar pair documents use ``{"n": ..., "x": [[x, y], ...],
 "u": [[x, y], ...]}``.
@@ -35,26 +38,6 @@ class PolygonDocument:
     field: np.ndarray | None = None
     origin: np.ndarray | None = None
     indexing: str = "node"
-
-
-@dataclass
-class VerificationReport:
-    instances: int
-    checks_per_instance: int
-    passes: int
-    failures: list[dict]
-    flattening_histogram: dict[int, int]
-    sigma_observed: int | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "instances": self.instances,
-            "checks_per_instance": self.checks_per_instance,
-            "passes": self.passes,
-            "failures": self.failures,
-            "flattening_histogram": {str(k): v for k, v in sorted(self.flattening_histogram.items())},
-            "sigma_observed": self.sigma_observed,
-        }
 
 
 def _rows(obj, name: str, width: int) -> np.ndarray:
@@ -111,10 +94,15 @@ def parse_planar_document(obj: dict) -> PlanarPair:
     return PlanarPair(NodeSeq(x), NodeSeq(u))
 
 
+def document_nodes(doc: PolygonDocument) -> NodeSeq:
+    """The nodes of ``doc`` about its origin: the one place a document's origin is subtracted."""
+    return NodeSeq(doc.nodes - doc.origin)
+
+
 def document_to_framed(doc: PolygonDocument) -> FramedPolygon:
     if doc.field is None:
         raise ValidationError("document carries no field")
-    return FramedPolygon(NodeSeq(doc.nodes), NodeSeq(doc.field), doc.origin)
+    return FramedPolygon(document_nodes(doc), NodeSeq(doc.field))
 
 
 def framed_to_document(P: FramedPolygon) -> dict:
@@ -122,7 +110,7 @@ def framed_to_document(P: FramedPolygon) -> dict:
         "n": P.n,
         "nodes": P.X.values.tolist(),
         "field": P.U.values.tolist(),
-        "origin": P.origin.tolist(),
+        "origin": [0.0, 0.0, 0.0],
         "indexing": "node",
     }
 

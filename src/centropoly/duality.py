@@ -52,7 +52,6 @@ class DualPair:
 
     Y: EdgeSeq
     V: EdgeSeq
-    source_origin: np.ndarray
 
     @cached_property
     def increments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +97,7 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
     relations are evaluated at once; an error names the first failing one,
     in the order Y.X', Y.U, Y.X, V.X', V.U, V.X, then the far-node four.
     """
-    r, r_next, e = P.centered, P.centered_next, P.edge_vectors
+    r, r_next, e = P.X.values, P.nodes_next, P.edge_vectors
     u = P.U.values
     duals = cross3(np.array((r, e)), np.array((r_next, u))) / P.beta_values[:, None]
     Yv, Vv = duals
@@ -120,7 +119,7 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
         excess = np.concatenate((excess[:, :3].ravel(), excess[:, 3:].ravel()))
         j = int(np.argmax(excess > 0.0))
         raise DualityResidual(f"defining relation {_RELATION_NAMES[j]} failed by {excess[j]:.3e}")
-    return DualPair(EdgeSeq(Yv), EdgeSeq(Vv), P.origin.copy())
+    return DualPair(EdgeSeq(Yv), EdgeSeq(Vv))
 
 
 def dual_beta_values(D: DualPair) -> np.ndarray:
@@ -152,13 +151,23 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     alpha(Y)(i+1/2) must equal alpha(i) alpha(i+1) / (beta(i-1/2) beta(i+1/2)
     beta(i+3/2)).  V' is checked to be parallel to Y', and the global sign
     sigma minimizing max |b(Y,V) - sigma lambda| is fitted.
+
+    The products of two alphas or three betas can leave the floating-point
+    range while the quotients do not, so they are formed from the mantissas
+    of ``np.frexp`` and the binary exponents are put back with ``np.ldexp``.
+    Scaling by a power of two is exact, so in range this rounds exactly as
+    the plain quotients do.
     """
-    a, b = P.alpha_values, P.beta_values
-    b_prev = shift_prev(b)
+    a, ea = np.frexp(P.alpha_values)
+    b, eb = np.frexp(P.beta_values)
+    b_prev, eb_prev = shift_prev(b), shift_prev(eb)
     bd = dual_beta_values(D)
-    bd_expect = a / (b_prev * b)
+    bd_expect = np.ldexp(a / (b_prev * b), ea - eb_prev - eb)
     ad = dual_alpha_values(D)
-    ad_expect = a * shift_next(a) / (b_prev * b * shift_next(b))
+    ad_expect = np.ldexp(
+        a * shift_next(a) / (b_prev * b * shift_next(b)),
+        ea + shift_next(ea) - eb_prev - eb - shift_next(eb),
+    )
 
     def rel(got, want):
         scale = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))), 1e-300)
@@ -194,7 +203,7 @@ def dual_of_dual(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> FramedPolyg
     Y_prev = shift_prev(Yv)
     bd = det3(Y_prev, Yv, Vv)[:, None]  # dual_beta_values(D)
     Xv, Uv = cross3(np.array((Y_prev, Yv - Y_prev)), np.array((Yv, shift_prev(Vv)))) / bd
-    P = FramedPolygon(NodeSeq(Xv + D.source_origin), NodeSeq(Uv), D.source_origin)
+    P = FramedPolygon(NodeSeq(Xv), NodeSeq(Uv))
     back = dual_pair(P, tol)
     pair = np.array((Yv, Vv))
     scale = float(np.abs(pair).max())

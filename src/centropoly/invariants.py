@@ -1,8 +1,8 @@
 """Centroaffine invariants of a framed spatial polygon.
 
 A framed polygon is a closed polygon X in 3-space, locally convex with
-respect to an origin O, together with a transversal vector field U at the
-nodes.  Working in coordinates centered at O, the basic volumes are
+respect to the origin (0, 0, 0), together with a transversal vector field U
+at the nodes.  The basic volumes are
 
     alpha(i)     = [X(i-1), X(i), X(i+1)]          node volumes, > 0
     beta(i+1/2)  = [X(i), X(i+1), U(i)]            edge volumes, > 0
@@ -29,7 +29,6 @@ from .cyclic import (
     EdgeSeq,
     NodeSeq,
     ToleranceConfig,
-    as_vec3,
     cross3,
     cyclic_sign_changes,
     det3,
@@ -52,8 +51,6 @@ from .errors import (
     NotLocallyConvex,
     NotParallel,
 )
-
-_ORIGIN = np.zeros(3)
 
 
 def _tangential_fit(df: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,32 +111,31 @@ class FramedPolygon:
     alpha is negative at every node is accepted and silently reoriented by
     reversing the node order; mixed signs are rejected.
 
-    The arrays every invariant starts from are computed here, once: the
-    origin-centered nodes ``centered`` and their shift ``centered_next``
-    (X(k+1) in slot k), and the volumes ``alpha_values`` and ``beta_values``.
+    X is taken about the origin (0, 0, 0); a document with another origin
+    has it subtracted when it is read.  The arrays every invariant starts
+    from are computed here, once: the shifted nodes ``nodes_next`` (X(k+1)
+    in slot k), and the volumes ``alpha_values`` and ``beta_values``.
     Further derived arrays are kept on the instance when first asked for; X
     and U are immutable, so none of them can go stale.  None of them depends
     on a tolerance: every verdict is taken per call from these arrays.
     """
 
-    __slots__ = ("X", "U", "origin", "__dict__")
+    __slots__ = ("X", "U", "__dict__")
 
-    def __init__(self, X: NodeSeq, U: NodeSeq, origin=_ORIGIN):
-        if origin is not _ORIGIN:  # the default is a valid 3-vector already
-            origin = as_vec3(origin)
+    def __init__(self, X: NodeSeq, U: NodeSeq):
         if not isinstance(X, NodeSeq) or not isinstance(U, NodeSeq):
             raise TypeError("X and U must be NodeSeq instances")
         if X.values.ndim != 2 or X.values.shape[1] != 3:
             raise ValueError("X must hold 3-vectors")
         if U.values.shape != X.values.shape:
             raise ValueError("U must hold one 3-vector per node")
-        r = X.values - origin
+        r = X.values
         a = _alpha_values(r)
         if not a.min() > 0.0:
             if (a < 0.0).all():
                 X = NodeSeq(X.values[::-1])
                 U = NodeSeq(U.values[::-1])
-                r = X.values - origin
+                r = X.values
                 a = _alpha_values(r)
             if not (a > 0.0).all():
                 raise NotLocallyConvex(
@@ -147,9 +143,7 @@ class FramedPolygon:
                 )
         self.X = X
         self.U = U
-        self.origin = origin
-        self.centered = r
-        self.centered_next = r_next = shift_next(r)
+        self.nodes_next = r_next = shift_next(r)
         self.alpha_values = a
         self.beta_values = b = det3(r, r_next, U.values)
         if not b.min() > 0.0:
@@ -162,7 +156,7 @@ class FramedPolygon:
     @cached_property
     def edge_vectors(self) -> np.ndarray:
         """X'(k+1/2) in slot k."""
-        return self.centered_next - self.centered
+        return self.nodes_next - self.X.values
 
     @cached_property
     def second_diffs(self) -> np.ndarray:
@@ -182,13 +176,13 @@ class FramedPolygon:
 
     @cached_property
     def delta_values(self) -> np.ndarray:
-        """Delta(k+1/2) in slot k; only node differences enter, so X is taken uncentered."""
+        """Delta(k+1/2) in slot k."""
         return _delta_values(self.X.values)
 
     @cached_property
     def osculating_dets(self) -> np.ndarray:
         """[X', X'', X](i) and [X', X'', U](i) in slot i, stacked."""
-        return det3(self.edge_vectors, self.second_diffs, np.array((self.centered, self.U.values)))
+        return det3(self.edge_vectors, self.second_diffs, np.array((self.X.values, self.U.values)))
 
     def __repr__(self):
         return f"FramedPolygon(n={self.n})"
@@ -235,8 +229,8 @@ def _delta_of(poly) -> np.ndarray:
 def delta(poly) -> EdgeSeq:
     """Torsion volumes Delta(i+1/2) = [X(i+2)-X(i+1), X(i+1)-X(i), X(i)-X(i-1)].
 
-    Accepts a FramedPolygon or a bare NodeSeq of 3-vectors; the origin drops
-    out since only differences enter.
+    Accepts a FramedPolygon or a bare NodeSeq of 3-vectors; only differences
+    enter, so a translation of X leaves Delta unchanged.
     """
     return EdgeSeq(_delta_of(poly))
 
@@ -290,14 +284,14 @@ class FocalPoint:
 def focal_points(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[FocalPoint]:
     """Focal points E(i+1/2) = X(i) + U(i)/b(i+1/2), one per edge slot.
 
-    Positions are absolute (the origin is added back).  Edges whose
+    Positions are taken about the origin (0, 0, 0), like X.  Edges whose
     curvature has no strict sign yield the common direction U(i) instead:
     the two normal lines are parallel and meet at infinity.
     """
     b = _tangential_verdict(P.curvature_fit, tol)
     signs = strict_signs(b, tol)
-    r, u = P.centered, P.U.values
-    r_next, u_next = P.centered_next, P.field_next
+    r, u = P.X.values, P.U.values
+    r_next, u_next = P.nodes_next, P.field_next
     out: list[FocalPoint] = []
     scale = float(np.max(row_norms(r)) + np.max(row_norms(u)))
     for k in range(P.n):
@@ -310,7 +304,7 @@ def focal_points(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[F
             raise IdentityCheckFailed(
                 f"the two focal expressions disagree at edge slot {k}"
             )
-        out.append(FocalPoint("finite", position=e1 + P.origin))
+        out.append(FocalPoint("finite", position=e1))
     return out
 
 
@@ -320,8 +314,8 @@ def is_constant_curvature(
     """Detect a constant-curvature pair and return the constant witness field.
 
     For b identically zero the witness is U itself (all normal lines are
-    parallel); otherwise it is the common focal point, expressed in
-    origin-centered coordinates.  Returns (False, None) when b varies.
+    parallel); otherwise it is the common focal point.  Returns (False, None)
+    when b varies.
     """
     u = P.U.values
     du = P.field_next - u
@@ -331,7 +325,7 @@ def is_constant_curvature(
     bmax = float(np.max(np.abs(b)))
     if np.max(np.abs(b - b.mean())) > tol.tol_residual * bmax:
         return False, None
-    witness = P.centered[0] + u[0] / b[0]
+    witness = P.X.values[0] + u[0] / b[0]
     return True, witness
 
 
@@ -349,9 +343,9 @@ def delta_identity_residual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def is_equal_volume(X: NodeSeq, origin=_ORIGIN, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_equal_volume(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when alpha(i) = 1 at every node, within tol_residual."""
-    a = _alpha_values(X.values - as_vec3(origin))
+    a = _alpha_values(X.values)
     return bool(np.max(np.abs(a - 1.0)) <= tol.tol_residual * max(1.0, float(np.max(np.abs(a)))))
 
 
@@ -441,12 +435,12 @@ def ev_natural_field(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
 
 
 def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
-    """Replace U by c X + d U (node positions taken relative to the origin).
+    """Replace U by c X + d U.
 
     Parallelism is preserved and the curvature transforms as b -> d b - c;
     d must be positive to keep the field transversal.
     """
     if d <= 0.0:
         raise NonTransversal("reframing needs a positive coefficient on U")
-    U = NodeSeq(c * P.centered + d * P.U.values)
-    return FramedPolygon(P.X, U, P.origin)
+    U = NodeSeq(c * P.X.values + d * P.U.values)
+    return FramedPolygon(P.X, U)

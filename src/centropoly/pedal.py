@@ -303,13 +303,13 @@ def make_radial_instance(gamma: NodeSeq, lam: NodeSeq, tol: ToleranceConfig = DE
     return RadialInstance(gamma, lam, X, convex, interior)
 
 
-def radial_projection(X: NodeSeq, origin=(0.0, 0.0, 0.0), tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:
-    """Split X - O into radial scales and the projection onto the plane z = 1.
+def radial_projection(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:
+    """Split X into radial scales and the projection onto the plane z = 1.
 
-    lam(i) is the third coordinate of X(i) - O and must have a strict
-    positive sign; convexity of the projection is reported, not required.
+    lam(i) is the third coordinate of X(i) and must have a strict positive
+    sign; convexity of the projection is reported, not required.
     """
-    r = X.values - as_vec3(origin)
+    r = X.values
     lam = r[:, 2]
     signs = strict_signs(lam, tol)
     if np.any(signs != 1):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -127,6 +128,87 @@ def test_pedal_invert_reads_the_document_origin(tmp_path, capsys):
         back = json.loads(out)
         assert np.max(np.abs(np.array(back["x"]) - x)) <= bound
         assert np.max(np.abs(np.array(back["u"]) - u)) <= bound
+
+
+@pytest.fixture
+def framed_doc(capsys):
+    """The ``generate --kind framed --n 12 --seed 7`` document, as a dict."""
+    code, out, _ = run(capsys, "generate", "--kind", "framed", "--n", "12", "--seed", "7")
+    assert code == 0
+    return json.loads(out)
+
+
+def assert_translated(got, want, t):
+    """``got`` is ``want`` with every focal ``position`` moved by t.
+
+    Integers, booleans, strings and nulls match exactly; number arrays and
+    scalars match within 1e-12 relative to the largest entry of ``want``, or
+    to 1 for a scalar residual.
+    """
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            if key == "position":
+                assert_translated(list(np.subtract(got[key], t)), want[key], t)
+            else:
+                assert_translated(got[key], want[key], t)
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    elif isinstance(want, list) and want and all(isinstance(v, (float, list)) for v in want):
+        got_arr, want_arr = np.array(got, dtype=float), np.array(want, dtype=float)
+        assert got_arr.shape == want_arr.shape
+        assert np.max(np.abs(got_arr - want_arr)) <= 1e-12 * np.max(np.abs(want_arr))
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_translated(g, w, t)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual --roundtrip", "export --with-focal"])
+def test_document_origin_is_subtracted_and_added_back(command, framed_doc, tmp_path, capsys):
+    # the same polygon written about the origin t: results match, positions move by t
+    t = [0.5, -0.25, 2.0]
+    shifted = dict(framed_doc, nodes=(np.array(framed_doc["nodes"]) + t).tolist(), origin=t)
+    outputs = []
+    for name, doc in (("plain", framed_doc), ("shifted", shifted)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_json(doc))
+        verb, *flags = command.split()
+        code, out, _ = run(capsys, verb, str(path), *flags)
+        assert code == 0
+        outputs.append(out)
+    want, got = outputs
+    if command.startswith("export"):
+        assert len(got.splitlines()) == len(want.splitlines())
+        for g, w in zip(got.splitlines(), want.splitlines()):
+            if w.startswith("v "):  # polygon nodes and focal points alike
+                g_pos = np.array(g.split()[1:], dtype=float) - t
+                w_pos = np.array(w.split()[1:], dtype=float)
+                assert np.max(np.abs(g_pos - w_pos)) <= 1e-12 * np.max(np.abs(w_pos))
+            else:
+                assert g == w
+    else:
+        want, got = json.loads(want), json.loads(got)
+        if command == "analyze":
+            assert (got.pop("origin"), want.pop("origin")) == (t, [0.0, 0.0, 0.0])
+        assert_translated(got, want, t)
+
+
+def test_dual_roundtrip_of_a_large_scale_document(framed_doc, tmp_path, capsys):
+    # alpha is about 1e300 here: products of two alphas or three betas leave the double range
+    doc = dict(framed_doc, nodes=(np.array(framed_doc["nodes"]) * 1e100).tolist())
+    path = tmp_path / "large.json"
+    path.write_text(dump_json(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "dual", str(path), "--roundtrip")
+    assert code == 0, err
+    data = json.loads(out)
+    assert np.all(np.isfinite(data["dual"]["nodes"])) and np.all(np.isfinite(data["dual"]["field"]))
+    report = data["report"]
+    assert max(report["alpha_dual_residual"], report["beta_dual_residual"], data["roundtrip_error"]) <= 1e-12
 
 
 def test_pedal_invert_rejects_nonconstant_curvature(tmp_path, capsys):

@@ -29,7 +29,7 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 def solve_dual_directly(P):
     """Oracle: per-edge 3x3 linear solves of the six defining incidences."""
-    r = P.centered
+    r = P.X.values
     r_next = np.roll(r, -1, axis=0)
     Y = np.empty_like(r)
     V = np.empty_like(r)

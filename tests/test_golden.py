@@ -7,10 +7,13 @@ change that alters an output on purpose updates its value here and says why.
 import contextlib
 import hashlib
 import io
+import json
 
+import numpy as np
 import pytest
 
 from centropoly import cli
+from centropoly.documents import dump_json
 
 GENERATE = {
     "framed": (("--kind", "framed", "--n", "12", "--seed", "7"), "97af493277058284"),
@@ -20,6 +23,9 @@ GENERATE = {
     "framed-40": (("--kind", "framed", "--n", "40", "--seed", "3"), "4cf8808311bf1d28"),
     "framed-300": (("--kind", "framed", "--n", "300", "--seed", "11"), "73d4b488485e20e6"),
 }
+
+# the framed document translated by this vector, written with it as its origin
+SHIFT = [0.1, 0.2, 0.3]
 
 # (command, document) -> stdout prefix; every run exits 0
 DOCUMENTS = {
@@ -38,6 +44,9 @@ DOCUMENTS = {
     ("export --with-focal", "equal-volume"): "9a4e1b941dd0aa2e",
     ("export --with-focal", "framed-40"): "3fa1e7c83f899d7c",
     ("export --with-focal", "framed-300"): "b5a312a5e6ae27cd",
+    ("analyze", "framed-shifted"): "27db73092b443a59",
+    ("dual --roundtrip", "framed-shifted"): "b9aa868938b1ef6e",
+    ("export --with-focal", "framed-shifted"): "d14f3ace1ad802f5",
     ("pedal", "planar"): "8cb37b8382b44d35",
     ("pedal --invert", "pedal"): "634065a8a29fd4a9",
 }
@@ -61,7 +70,11 @@ def run(*argv: str) -> tuple[int, str, str]:
 
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
-    """Path, exit code and stdout prefix of each generated document; "pedal" holds the pedal's path."""
+    """Path, exit code and stdout prefix of each generated document.
+
+    "pedal" holds the path of the planar document's pedal and
+    "framed-shifted" that of the framed document translated by SHIFT.
+    """
     base = tmp_path_factory.mktemp("golden")
     out = {}
     for name, (args, _) in GENERATE.items():
@@ -73,6 +86,12 @@ def generated(tmp_path_factory):
     path = base / "pedal.json"
     path.write_text(text)
     out["pedal"] = (str(path), None, None)
+    with open(out["framed"][0]) as fh:
+        doc = json.load(fh)
+    doc.update(nodes=(np.array(doc["nodes"]) + SHIFT).tolist(), origin=SHIFT)
+    path = base / "framed-shifted.json"
+    path.write_text(dump_json(doc))
+    out["framed-shifted"] = (str(path), None, None)
     return out
 
 

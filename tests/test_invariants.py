@@ -163,7 +163,7 @@ def test_lambda_shifts_under_field_shift(square):
 
 def osculating_coefficients(P, i):
     """Oracle: A, B with -lambda(i) X(i) + U(i) = A X'(i-1/2) + B X'(i+1/2), by least squares."""
-    w = -lambda_coeff(P).values[i] * P.centered[i] + P.U.values[i]
+    w = -lambda_coeff(P).values[i] * P.X.values[i] + P.U.values[i]
     basis = np.stack([P.edge_vectors[i - 1], P.edge_vectors[i]], axis=1)
     (A, B), *_ = np.linalg.lstsq(basis, w, rcond=None)
     return float(A), float(B)
