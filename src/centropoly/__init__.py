@@ -31,12 +31,10 @@ from .duality import (
 from .invariants import (
     FocalPoint,
     FramedPolygon,
-    StructureFunctions,
     alpha,
     beta,
     curvature_b,
     delta,
-    ev_natural_field,
     flattening_nodes,
     focal_points,
     is_constant_curvature,
@@ -46,13 +44,11 @@ from .invariants import (
     delta_identity_residual,
     lambda_coeff,
     reframe,
-    structure_functions,
     vertex_edges,
 )
 from .pedal import (
     PedalResult,
     PlanarPair,
-    RadialInstance,
     co_normal,
     constant_field_frame,
     cylindrical_pedal,
@@ -60,21 +56,17 @@ from .pedal import (
     is_convex,
     is_exact,
     lift,
-    make_radial_instance,
     planar_curvature,
     planar_vertices,
-    radial_projection,
     unpedal,
     vertical_field,
 )
 from .generators import (
     GenConfig,
-    equal_area_normalize,
-    equal_volume_normalize,
+    RadialInstance,
     fixtures,
     perturb_to_generic,
     planted_coplanar_instance,
-    random_convex_polygon,
     random_equal_area_polygon,
     random_equal_volume_polygon,
     random_framed_polygon,

@@ -36,7 +36,6 @@ from .errors import (
     GeometryError,
     NotParallel,
     NotPlanarDual,
-    SingularNormalization,
     ValidationError,
 )
 from .generators import (
@@ -275,8 +274,10 @@ def _verify_battery(tol: ToleranceConfig):
         return pverts == got["flats"] and len(pverts) >= 4, float(len(pverts))
 
     def sigma_constant(P, got):
-        sigma, sigma_ref = got["report"].sign_sigma, got["sigma_ref"]
-        return sigma_ref is None or sigma == sigma_ref, float(sigma)
+        rep, sigma_ref = got["report"], got["sigma_ref"]
+        if sigma_ref is not None and rep.sign_sigma != sigma_ref:
+            return False, float(rep.sign_sigma)
+        return rep.sigma_fit_residual <= tol.tol_residual, rep.sigma_fit_residual
 
     return (
         flattening_count, flattening_vertex_sets, coplanarity_concurrency, duality_involution,
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, tol)
     except NotPlanarDual as exc:
         return _fail(exc, 3)
-    except (GenerationFailed, SingularNormalization) as exc:
+    except GenerationFailed as exc:
         return _fail(exc, 4)
     except (GeometryError, ValueError) as exc:
         return _fail(exc, 2)

@@ -43,7 +43,7 @@ class PolygonDocument:
 def _rows(obj, name: str, width: int) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be an array of numbers") from exc
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValidationError(f"{name} must be a list of {width}-element arrays")
@@ -62,6 +62,21 @@ def _document_n(obj) -> int:
     return n
 
 
+def _origin(obj) -> np.ndarray:
+    """The origin of a document: absent or null means (0, 0, 0); else a flat list of 3 finite numbers."""
+    if obj is None:
+        return np.zeros(3)
+    if not (isinstance(obj, list) and len(obj) == 3 and all(type(c) in (int, float) for c in obj)):
+        raise ValidationError("origin must be a flat array of 3 numbers")
+    try:
+        origin = np.array(obj, dtype=float)
+    except OverflowError as exc:
+        raise ValidationError("origin entries must be finite") from exc
+    if not np.all(np.isfinite(origin)):
+        raise ValidationError("origin entries must be finite")
+    return origin
+
+
 def parse_polygon_document(obj: dict) -> PolygonDocument:
     n = _document_n(obj)
     nodes = _rows(obj.get("nodes"), "nodes", 3)
@@ -72,11 +87,7 @@ def parse_polygon_document(obj: dict) -> PolygonDocument:
         fld = _rows(obj["field"], "field", 3)
         if fld.shape[0] != n:
             raise ValidationError("field length does not match n")
-    origin = np.zeros(3)
-    if obj.get("origin") is not None:
-        origin = np.asarray(obj["origin"], dtype=float).reshape(3)
-        if not np.all(np.isfinite(origin)):
-            raise ValidationError("origin entries must be finite")
+    origin = _origin(obj.get("origin"))
     indexing = obj.get("indexing", "node")
     if indexing not in ("node", "edge"):
         raise ValidationError('indexing must be "node" or "edge"')

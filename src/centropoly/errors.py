@@ -29,18 +29,6 @@ class NotLocallyConvex(GeometryError):
     """A polygon fails the positive-volume local convexity requirement."""
 
 
-class NotEqualVolume(GeometryError):
-    """The polygon's node volumes are not identically one."""
-
-
-class IntegrationInconsistent(GeometryError):
-    """A cyclic integration does not close up around the polygon."""
-
-
-class DecompositionResidual(GeometryError):
-    """A vector did not lie in its expected span within tolerance."""
-
-
 class DualityResidual(GeometryError):
     """A defining incidence relation of the dual pair failed numerically."""
 
@@ -51,14 +39,6 @@ class IdentityCheckFailed(GeometryError):
 
 class NotPlanarDual(GeometryError):
     """The dual polygon is not planar, so no inverse pedal exists."""
-
-
-class NonProjectable(GeometryError):
-    """A node cannot be radially projected onto the reference plane."""
-
-
-class SingularNormalization(GeometryError):
-    """The rescaling system is singular and the data is incompatible."""
 
 
 class GenerationFailed(GeometryError):

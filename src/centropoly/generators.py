@@ -5,13 +5,13 @@ SeedSequence), which is platform independent; identical configurations give
 bit-identical instances.  Batch drivers derive per-instance seeds as
 ``[master_seed, index]`` so batches are order independent.
 
-Random convex polygons are built from edge directions: n angles jittered
-around the regular spacing (gaps bounded away from zero, so consecutive
-node triples never get needle-thin) with random edge lengths projected onto
-the closure constraint.  Angle-sorted edges make the polygon strictly
-convex with exactly n vertices by construction; it is then centered at its
-area centroid (so the origin is strictly interior) and scaled to mean
-vertex radius one.
+The convex polygon under each instance is built from edge directions: n
+angles jittered around the regular spacing (gaps bounded away from zero, so
+consecutive node triples never get needle-thin) with random edge lengths
+projected onto the closure constraint.  Angle-sorted edges make the polygon
+strictly convex with exactly n vertices by construction; it is then
+centered at its area centroid (so the origin is strictly interior) and
+scaled to mean vertex radius one.
 """
 
 from __future__ import annotations
@@ -32,24 +32,9 @@ from .cyclic import (
     shift_next,
     shift_prev,
 )
-from .errors import (
-    GenerationFailed,
-    GeometryError,
-    NotLocallyConvex,
-    SingularNormalization,
-)
+from .errors import DegenerateSign, GenerationFailed, GeometryError
 from .invariants import FramedPolygon, _alpha_values, delta, is_equal_volume, is_generic
-from .pedal import (
-    E3,
-    PlanarPair,
-    RadialInstance,
-    _area_centroid,
-    _origin_interior,
-    cylindrical_pedal,
-    is_convex,
-    make_radial_instance,
-    vertical_field,
-)
+from .pedal import E3, PlanarPair, cylindrical_pedal, is_convex, vertical_field
 
 
 @dataclass(frozen=True)
@@ -77,6 +62,30 @@ class GenConfig:
         return np.random.default_rng(self.seed)
 
 
+@dataclass(frozen=True)
+class RadialInstance:
+    """A spatial polygon X(i) = lam(i) * (gamma(i), 1) over a convex planar polygon gamma."""
+
+    gamma: NodeSeq
+    lam: NodeSeq
+    X: NodeSeq
+
+
+def _origin_interior(g: np.ndarray) -> bool:
+    return bool(np.all(area2(g, shift_next(g)) > 0.0))
+
+
+def _area_centroid(g: np.ndarray) -> np.ndarray:
+    g_next = shift_next(g)
+    x, y = g[:, 0], g[:, 1]
+    xn, yn = g_next[:, 0], g_next[:, 1]
+    w = x * yn - xn * y
+    area = 0.5 * w.sum()
+    cx = ((x + xn) * w).sum() / (6.0 * area)
+    cy = ((y + yn) * w).sum() / (6.0 * area)
+    return np.array([cx, cy])
+
+
 def _convex_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     """One convex-polygon draw: jittered edge directions, closure-projected lengths.
 
@@ -101,35 +110,27 @@ def _convex_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     raise GenerationFailed("edge lengths kept collapsing under the closure correction")
 
 
-def random_convex_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
-    """A strictly convex polygon with exactly cfg.n vertices and (0,0) strictly inside."""
-    rng = cfg.rng()
-    for _ in range(cfg.max_retries):
-        pts = _convex_from_rng(rng, cfg.n)
-        poly = NodeSeq(pts)
-        try:
-            if is_convex(poly, tol) and _origin_interior(pts):
-                return poly
-        except GeometryError:
-            pass
-    raise GenerationFailed(f"no convex polygon with {cfg.n} vertices after {cfg.max_retries} tries")
-
-
 def random_radial_instance(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:
     """A generic spatial polygon lam(i) * (gamma(i), 1) over a random convex gamma.
 
-    Radial scales are log-uniform on lambda_range; the draw is repeated until
-    every torsion volume has a strict sign.  Local convexity about the origin
-    is automatic for positive scales over a convex projection.
+    Radial scales are log-uniform on lambda_range.  A draw is rejected unless
+    gamma is convex with (0, 0) strictly inside and every torsion volume has
+    a strict sign.  Local convexity about the origin is then automatic for
+    positive scales.
     """
     rng = cfg.rng()
     lo, hi = cfg.lambda_range
     for _ in range(cfg.max_retries):
         gamma = NodeSeq(_convex_from_rng(rng, cfg.n))
-        lam = NodeSeq(np.exp(rng.uniform(np.log(lo), np.log(hi), cfg.n)))
-        inst = make_radial_instance(gamma, lam, tol)
-        if inst.gamma_convex and inst.origin_interior and is_generic(inst.X, tol):
-            return inst
+        lam = np.exp(rng.uniform(np.log(lo), np.log(hi), cfg.n))
+        try:
+            if not (_origin_interior(gamma.values) and is_convex(gamma, tol)):
+                continue
+        except DegenerateSign:
+            continue
+        X = NodeSeq(np.column_stack([gamma.values * lam[:, None], lam]))
+        if is_generic(X, tol):
+            return RadialInstance(gamma, NodeSeq(lam), X)
     raise GenerationFailed(f"no generic radial instance after {cfg.max_retries} tries")
 
 
@@ -228,45 +229,6 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
     raise GenerationFailed(f"no planar pair after {cfg.max_retries} tries")
 
 
-def equal_volume_normalize(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
-    """Radial rescaling mu(i) X(i) with node volumes identically one.
-
-    alpha transforms multiplicatively, alpha -> mu(i-1) mu(i) mu(i+1) alpha,
-    so the problem is the circulant linear system nu(i-1)+nu(i)+nu(i+1) =
-    -log alpha(i) in nu = log mu, solved by FFT.  For n divisible by 3 the
-    circulant has a two-dimensional kernel (modes k = n/3, 2n/3); the data
-    must be orthogonal to it or the normalization does not exist.
-    """
-    a = _alpha_values(X.values)
-    if np.all(a < 0.0):
-        X = NodeSeq(X.values[::-1])
-        a = _alpha_values(X.values)
-    if not np.all(a > 0.0):
-        raise NotLocallyConvex("normalization needs a locally convex polygon")
-    n = X.n
-    rhs = -np.log(a)
-    spectrum = np.fft.fft(rhs)
-    eigs = 1.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    coeffs = np.zeros(n, dtype=complex)
-    if n % 3 == 0:
-        singular = np.array([n // 3, 2 * n // 3])
-        leak = np.abs(spectrum[singular])
-        if np.max(leak) > tol.tol_residual * max(1.0, float(np.max(np.abs(spectrum)))):
-            raise SingularNormalization(
-                "period divisible by 3: the rescaling system is singular for this polygon"
-            )
-        keep = np.ones(n, dtype=bool)
-        keep[singular] = False
-        coeffs[keep] = spectrum[keep] / eigs[keep]
-    else:
-        coeffs = spectrum / eigs
-    mu = np.exp(np.real(np.fft.ifft(coeffs)))
-    out = NodeSeq(mu[:, None] * X.values)
-    if not is_equal_volume(out, tol=tol):
-        raise SingularNormalization("rescaled polygon missed the unit-volume target")
-    return out
-
-
 def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
     """Radial multipliers mu with unit consecutive edge-vector areas, or None."""
     n = p.shape[0]
@@ -309,19 +271,6 @@ def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
         else:
             return None
     return mu if np.max(np.abs(f)) <= 1e-12 else None
-
-
-def equal_area_normalize(x: NodeSeq) -> NodeSeq:
-    """Rescale nodes radially so consecutive edge-vector areas are all one.
-
-    Unlike the spatial case there is no closed-form log-linear system, so a
-    damped Newton iteration solves the quadratic conditions directly; the
-    polygon must be strictly convex with the origin strictly inside.
-    """
-    mu = _newton_equal_area(x.values)
-    if mu is None:
-        raise GenerationFailed("equal-area rescaling did not converge")
-    return NodeSeq(mu[:, None] * x.values)
 
 
 def random_equal_area_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:

@@ -29,24 +29,18 @@ from .cyclic import (
     EdgeSeq,
     NodeSeq,
     ToleranceConfig,
-    cross3,
     cyclic_sign_changes,
     det3,
-    node_diff,
     row_norms,
-    second_diff,
     shift_next,
     shift_prev,
     sign_change_nodes,
     strict_signs,
 )
 from .errors import (
-    DecompositionResidual,
     DegenerateSign,
     IdentityCheckFailed,
-    IntegrationInconsistent,
     NonTransversal,
-    NotEqualVolume,
     NotGeneric,
     NotLocallyConvex,
     NotParallel,
@@ -353,85 +347,6 @@ def is_unimodular(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when beta(i+1/2) = 1 at every edge, within tol_residual."""
     b = P.beta_values
     return bool(np.max(np.abs(b - 1.0)) <= tol.tol_residual * max(1.0, float(np.max(np.abs(b)))))
-
-
-@dataclass(frozen=True)
-class StructureFunctions:
-    """Coefficients of the third-difference recursions of an equal-volume polygon."""
-
-    rho1: NodeSeq
-    rho2: NodeSeq
-    tau: EdgeSeq
-
-
-def structure_functions(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> StructureFunctions:
-    """Solve X'''(i+1/2) = -rho2(i) X' + tau X(i+1) = -rho1(i+1) X' + tau X(i).
-
-    Equal-volume polygons (about the origin) admit these decompositions
-    exactly; each is solved as a full 3x3 system with a normal completion
-    vector whose coefficient is the out-of-span residual.  The two solves
-    must agree on tau, and tau(i+1/2) = rho2(i) - rho1(i+1) is re-checked.
-    """
-    if not is_equal_volume(X, tol=tol):
-        raise NotEqualVolume("structure functions need alpha identically 1")
-    r = X.values
-    r_next = shift_next(r)
-    e = r_next - r
-    third = node_diff(second_diff(X)).values
-    scale = float(np.max(row_norms(third))) or 1.0
-
-    def solve(span2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = cross3(e, span2)
-        basis = np.stack([e, span2, w], axis=2)
-        coef = np.linalg.solve(basis, third[:, :, None])[:, :, 0]
-        leak = np.abs(coef[:, 2]) * row_norms(w)
-        if np.max(leak) > tol.tol_residual * scale:
-            raise DecompositionResidual(
-                "third difference leaves the span of the edge and node vectors"
-            )
-        return -coef[:, 0], coef[:, 1]
-
-    rho2, tau = solve(r_next)
-    rho1_shifted, tau2 = solve(r)  # slot k holds rho1(k+1)
-    band = tol.tol_residual * max(1.0, float(np.max(np.abs(tau))))
-    if np.max(np.abs(tau - tau2)) > band:
-        raise DecompositionResidual("the two recursions disagree on tau")
-    if np.max(np.abs(tau - (rho2 - rho1_shifted))) > band:
-        raise IdentityCheckFailed("compatibility tau = rho2(i) - rho1(i+1) failed")
-    return StructureFunctions(
-        rho1=NodeSeq(shift_prev(rho1_shifted)),
-        rho2=NodeSeq(rho2),
-        tau=EdgeSeq(tau),
-    )
-
-
-def ev_natural_field(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
-    """The natural parallel unimodular field U = X'' + lambda X of an equal-volume polygon.
-
-    lambda is obtained by integrating lambda' = -tau around the cycle,
-    starting from lambda(0) = 0.  Any starting value yields a parallel and
-    unimodular field (the choices differ by a multiple of X), and this one
-    reduces to U = (x'', 0) on lifted planar polygons.  The sum of tau over
-    one period must vanish for lambda to close up.
-    """
-    sf = structure_functions(X, tol)
-    tau = sf.tau.values
-    closure = abs(float(np.sum(tau)))
-    if closure > tol.tol_residual * max(1.0, float(np.sum(np.abs(tau)))):
-        raise IntegrationInconsistent(
-            f"tau does not sum to zero over one period (sum {closure:.3e})"
-        )
-    lam = np.concatenate([[0.0], -np.cumsum(tau[:-1])])
-    U = NodeSeq(second_diff(X).values + lam[:, None] * X.values)
-    P = FramedPolygon(X, U)  # validates transversality
-    _tangential_verdict(P.curvature_fit, tol)  # validates parallelism
-    if not is_unimodular(P, tol):
-        raise IdentityCheckFailed("natural field failed the unimodularity check")
-    dX, ddX = P.edge_vectors, P.second_diffs
-    osc = det3(dX, ddX, -lam[:, None] * X.values + U.values)
-    if np.max(np.abs(osc)) > tol.tol_residual * float(np.max(np.abs(P.alpha_values))):
-        raise IdentityCheckFailed("natural field failed the osculating check")
-    return U
 
 
 def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:

@@ -13,8 +13,7 @@ every such polygon is the pedal of a planar pair; ``unpedal`` inverts the
 construction globally.
 
 The module also carries the planar support used by the spatial flattening
-machinery: convexity by winding index, exact fields, planar vertices, and
-radial projection onto z = 1.
+machinery: convexity by winding index, exact fields and planar vertices.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .duality import DualPair, dual_pair
 from .errors import (
     DegenerateSign,
     DualityResidual,
-    NonProjectable,
     NonTransversal,
     NotExact,
     NotGeneric,
@@ -274,64 +272,6 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
         return sign_change_nodes(b.values - shift_prev(b.values), tol)
     except DegenerateSign as exc:
         raise NotGeneric("a curvature difference has no strict sign") from exc
-
-
-@dataclass(frozen=True)
-class RadialInstance:
-    """A spatial polygon X(i) = lam(i) * (gamma(i), 1) over a planar polygon gamma."""
-
-    gamma: NodeSeq
-    lam: NodeSeq
-    X: NodeSeq
-    gamma_convex: bool
-    origin_interior: bool
-
-
-def make_radial_instance(gamma: NodeSeq, lam: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:
-    """Assemble X = lam * (gamma, 1), re-centering gamma when (0,0) is not interior."""
-    if np.any(lam.values <= 0.0):
-        raise ValueError("radial scales must be positive")
-    interior = _origin_interior(gamma.values)
-    if not interior:
-        gamma = NodeSeq(gamma.values - _area_centroid(gamma.values))
-        interior = _origin_interior(gamma.values)
-    X = NodeSeq(np.column_stack([gamma.values * lam.values[:, None], lam.values]))
-    try:
-        convex = is_convex(gamma, tol)
-    except DegenerateSign:
-        convex = False
-    return RadialInstance(gamma, lam, X, convex, interior)
-
-
-def radial_projection(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:
-    """Split X into radial scales and the projection onto the plane z = 1.
-
-    lam(i) is the third coordinate of X(i) and must have a strict positive
-    sign; convexity of the projection is reported, not required.
-    """
-    r = X.values
-    lam = r[:, 2]
-    signs = strict_signs(lam, tol)
-    if np.any(signs != 1):
-        k = int(np.argmin(lam))
-        raise NonProjectable(f"node slot {k} does not project onto z = 1")
-    gamma = r[:, :2] / lam[:, None]
-    return make_radial_instance(NodeSeq(gamma), NodeSeq(lam), tol)
-
-
-def _origin_interior(g: np.ndarray) -> bool:
-    return bool(np.all(area2(g, shift_next(g)) > 0.0))
-
-
-def _area_centroid(g: np.ndarray) -> np.ndarray:
-    g_next = shift_next(g)
-    x, y = g[:, 0], g[:, 1]
-    xn, yn = g_next[:, 0], g_next[:, 1]
-    w = x * yn - xn * y
-    area = 0.5 * w.sum()
-    cx = ((x + xn) * w).sum() / (6.0 * area)
-    cy = ((y + yn) * w).sum() / (6.0 * area)
-    return np.array([cx, cy])
 
 
 def dual_planar_parts(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[NodeSeq, NodeSeq]:

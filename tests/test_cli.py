@@ -79,6 +79,32 @@ def test_documents_need_a_json_integer_n(command, key, make_n, docs, tmp_path, c
     assert "integer n" in err
 
 
+@pytest.mark.parametrize(
+    "origin",
+    [[[0, 0, 0]], [[0], [0], [0]], [1, 2], "abc", True, [10**400, 0, 0]],
+    ids=["nested-row", "nested-column", "two-entries", "string", "bool", "out-of-range"],
+)
+def test_analyze_rejects_a_malformed_origin_by_name(origin, docs, tmp_path, capsys):
+    doc = json.loads(Path(docs["square"]).read_text())
+    doc["origin"] = origin
+    path = tmp_path / "origin.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "ValidationError" in err and "origin" in err
+
+
+def test_analyze_rejects_an_integer_node_out_of_float_range(docs, tmp_path, capsys):
+    doc = json.loads(Path(docs["square"]).read_text())
+    doc["nodes"][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "ValidationError" in err and "nodes" in err
+
+
 def test_dual_fixture_and_roundtrip(docs, capsys):
     code, out, _ = run(capsys, "dual", docs["square"], "--roundtrip")
     assert code == 0
@@ -240,12 +266,13 @@ def test_generate_deterministic_bytes(capsys):
 def test_generate_radial_validates(capsys):
     code, out, _ = run(capsys, "generate", "--kind", "radial", "--n", "12", "--seed", "7")
     data = json.loads(out)
-    from centropoly import NodeSeq, is_generic, radial_projection
+    from centropoly import NodeSeq, is_convex, is_generic
 
-    X = NodeSeq(np.array(data["nodes"]))
-    assert is_generic(X)
-    inst = radial_projection(X)
-    assert inst.gamma_convex
+    X = np.array(data["nodes"])
+    assert is_generic(NodeSeq(X))
+    lam = X[:, 2]  # the radial projection onto z = 1
+    assert np.all(lam > 0.0)
+    assert is_convex(NodeSeq(X[:, :2] / lam[:, None]))
 
 
 def test_generate_framed_and_planar(capsys):
@@ -304,6 +331,18 @@ def test_verify_records_one_failure_under_the_raising_check(monkeypatch, capsys)
     assert all(f["error"] == "planted" and f["residual"] is None for f in data["failures"])
     assert data["checks_per_instance"] == 9
     assert data["passes"] == 2 * 3  # the three checks before it; the five after it do not run
+
+
+def test_verify_sigma_constant_checks_the_dual_curvature_fit(monkeypatch, capsys):
+    # b(Y,V) = 2 sigma lambda + 0.3 keeps every sign, so only the fit residual can see it
+    dual_curvature = duality.dual_curvature
+    monkeypatch.setattr(duality, "dual_curvature", lambda D, tol: 2.0 * dual_curvature(D, tol) + 0.3)
+    code, out, _ = run(capsys, "verify", "--instances", "100", "--seed", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert [f["check"] for f in data["failures"]] == ["sigma_constant"] * 100
+    assert all(f["residual"] > 0.1 for f in data["failures"])
+    assert data["passes"] == 100 * 8
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])

@@ -10,19 +10,24 @@ from centropoly import (
     dual_invariants,
     dual_of_dual,
     dual_pair,
+    delta,
     dual_vertex_edges,
     flattening_nodes,
+    is_convex,
     is_generic,
     lambda_coeff,
     planted_coplanar_instance,
     random_equal_volume_polygon,
     random_framed_polygon,
+    random_radial_instance,
     random_unimodular_matrix,
     reframe,
     vertex_edges,
+    vertical_field,
 )
+from centropoly import generators
 from centropoly.duality import dual_alpha_values, dual_beta_values
-from centropoly.errors import DualityResidual
+from centropoly.errors import DualityResidual, GenerationFailed
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -224,6 +229,35 @@ def test_flattening_vertex_correspondence_random():
         P = random_framed_polygon(GenConfig(seed=400 + seed, n=5 + (seed % 18)))
         flats, verts = flattening_nodes(P), dual_vertex_edges(dual_pair(P))
         assert flats == verts, (seed, flats, verts)
+
+
+def test_doubly_wound_radial_polygon_has_two_flattenings(monkeypatch):
+    # negative control for the four-flattening check: gamma is locally convex
+    # but winds twice about (0, 0), and the theorem's conclusion fails
+    rng = np.random.default_rng([2, 1745])
+    n = int(rng.integers(9, 25))
+    theta = 4.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    gamma = rng.uniform(0.8, 1.2, n)[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    lam = np.exp(rng.uniform(np.log(0.5), np.log(2.0), n))
+    P = FramedPolygon(NodeSeq(np.column_stack([gamma * lam[:, None], lam])), vertical_field(n))
+    assert n == 9
+    assert flattening_nodes(P) == dual_vertex_edges(dual_pair(P)) == [1, 5]
+    d = np.abs(delta(P).values)
+    assert d.min() / d.max() > 1e-3  # far outside the sign dead band
+    assert not is_convex(NodeSeq(gamma))
+
+    # the radial generator rejects this gamma by its convexity test
+    verdicts = []
+
+    def spied_is_convex(poly, tol):
+        verdicts.append(is_convex(poly, tol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(generators, "_convex_from_rng", lambda rng, n: gamma)
+    monkeypatch.setattr(generators, "is_convex", spied_is_convex)
+    with pytest.raises(GenerationFailed):
+        random_radial_instance(GenConfig(seed=0, n=n, max_retries=3))
+    assert verdicts == [False] * 3
 
 
 def test_vertex_flattening_correspondence_random():

@@ -9,8 +9,6 @@ from centropoly import (
     area2,
     curvature_b,
     delta,
-    equal_area_normalize,
-    equal_volume_normalize,
     is_convex,
     is_equal_volume,
     is_generic,
@@ -18,7 +16,6 @@ from centropoly import (
     node_diff,
     perturb_to_generic,
     planted_coplanar_instance,
-    random_convex_polygon,
     random_equal_area_polygon,
     random_equal_volume_polygon,
     random_framed_polygon,
@@ -27,27 +24,31 @@ from centropoly import (
     random_unimodular_matrix,
 )
 from centropoly import generators
-from centropoly.errors import GenerationFailed, SingularNormalization
+from centropoly.errors import GenerationFailed
 from centropoly.invariants import _alpha_values
+
+
+# the convex polygon is the radial projection gamma of a radial instance
 
 
 def test_convex_polygon_postconditions():
     for seed in range(50):
-        poly = random_convex_polygon(GenConfig(seed=seed, n=4 + (seed % 24)))
+        poly = random_radial_instance(GenConfig(seed=seed, n=4 + (seed % 24))).gamma
         assert is_convex(poly)
         pts = poly.values
         assert np.all(area2(pts, np.roll(pts, -1, axis=0)) > 0.0)  # origin inside
 
 
 def test_convex_polygon_deterministic():
-    a = random_convex_polygon(GenConfig(seed=42, n=6))
-    b = random_convex_polygon(GenConfig(seed=42, n=6))
+    a = random_radial_instance(GenConfig(seed=42, n=6)).gamma
+    b = random_radial_instance(GenConfig(seed=42, n=6)).gamma
     assert np.array_equal(a.values, b.values)
 
 
 def test_convex_polygon_exact_node_count():
-    for n in (3, 4, 7, 23, 50):
-        assert random_convex_polygon(GenConfig(seed=1, n=n)).n == n
+    # no triangle is generic (its three edges are coplanar), so n starts at 4
+    for n in (4, 7, 23, 50):
+        assert random_radial_instance(GenConfig(seed=1, n=n)).gamma.n == n
 
 
 def test_radial_instance_deterministic_and_generic():
@@ -55,7 +56,6 @@ def test_radial_instance_deterministic_and_generic():
     b = random_radial_instance(GenConfig(seed=7, n=12))
     assert np.array_equal(a.X.values, b.X.values)
     assert is_generic(a.X)
-    assert a.gamma_convex and a.origin_interior
 
 
 def test_radial_instance_locally_convex():
@@ -84,25 +84,6 @@ def test_planar_pair_deterministic():
     assert np.array_equal(a.u.values, b.u.values)
 
 
-def test_equal_volume_normalize_square(square):
-    out = equal_volume_normalize(square.X)
-    assert np.max(np.abs(out.values - 4.0 ** (-1.0 / 3.0) * square.X.values)) <= 1e-12
-
-
-def test_equal_volume_normalize_idempotent_and_correct():
-    inst = random_radial_instance(GenConfig(seed=2, n=7))
-    out = equal_volume_normalize(inst.X)
-    assert np.max(np.abs(_alpha_values(out.values) - 1.0)) <= 1e-9
-    again = equal_volume_normalize(out)
-    assert np.max(np.abs(again.values - out.values)) <= 1e-9 * np.max(np.abs(out.values))
-
-
-def test_equal_volume_normalize_singular_period():
-    inst = random_radial_instance(GenConfig(seed=5, n=9))
-    with pytest.raises(SingularNormalization):
-        equal_volume_normalize(inst.X)
-
-
 def test_equal_volume_polygon_generator():
     X, U = random_equal_volume_polygon(GenConfig(seed=3, n=8))
     assert is_equal_volume(X)
@@ -118,13 +99,6 @@ def test_equal_area_polygon_generator():
         areas = area2(np.roll(e, 1, axis=0), e)
         assert np.max(np.abs(areas - 1.0)) <= 1e-12
         assert is_convex(x)
-
-
-def test_equal_area_normalize_direct():
-    x = random_convex_polygon(GenConfig(seed=77, n=9))
-    out = equal_area_normalize(x)
-    e = node_diff(out).values
-    assert np.max(np.abs(area2(np.roll(e, 1, axis=0), e) - 1.0)) <= 1e-12
 
 
 def test_perturb_to_generic_identity_when_generic():
@@ -176,7 +150,7 @@ def test_gen_config_validation():
         GenConfig(max_retries=0)
 
 
-@pytest.mark.parametrize("generate", [random_convex_polygon, random_planar_pair])
+@pytest.mark.parametrize("generate", [random_radial_instance, random_planar_pair])
 def test_generators_retry_only_geometry_errors(generate, monkeypatch):
     def broken(poly, tol):
         raise TypeError("planted")

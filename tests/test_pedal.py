@@ -23,7 +23,6 @@ from centropoly import (
     node_diff,
     planar_curvature,
     planar_vertices,
-    radial_projection,
     random_equal_area_polygon,
     random_planar_pair,
     random_radial_instance,
@@ -35,7 +34,6 @@ from centropoly import (
 )
 from centropoly.errors import (
     DegenerateSign,
-    NonProjectable,
     NonTransversal,
     NotExact,
     NotGeneric,
@@ -318,31 +316,13 @@ def test_planar_vertices_match_lifted_vertex_edges():
 # --- radial projection --------------------------------------------------------
 
 
-def test_radial_projection_of_lifted_square(square):
-    inst = radial_projection(square.X)
-    assert np.array_equal(inst.lam.values, np.ones(4))
-    assert np.array_equal(inst.gamma.values, square.X.values[:, :2])
-    assert inst.gamma_convex and inst.origin_interior
-
-
-def test_radial_projection_uniform_scaling(square):
-    inst = radial_projection(NodeSeq(2.0 * square.X.values))
-    assert np.array_equal(inst.lam.values, np.full(4, 2.0))
-    assert np.array_equal(inst.gamma.values, square.X.values[:, :2])
-
-
 def test_radial_projection_round_trip():
+    # projecting X onto z = 1 gives back the instance's gamma and lam
     inst = random_radial_instance(GenConfig(seed=13, n=11))
-    again = radial_projection(inst.X)
-    assert np.max(np.abs(again.gamma.values - inst.gamma.values)) <= 1e-12
-    assert np.max(np.abs(again.lam.values - inst.lam.values)) <= 1e-12
-    assert np.max(np.abs(again.X.values - inst.X.values)) <= 1e-12
-
-
-def test_radial_projection_rejects_nonpositive_heights():
-    nodes = NodeSeq([(1.0, 0.0, 1.0), (0.0, 1.0, -1.0), (-1.0, 0.0, 1.0), (0.0, -1.0, 1.0)])
-    with pytest.raises(NonProjectable):
-        radial_projection(nodes)
+    lam = inst.X.values[:, 2]
+    gamma = inst.X.values[:, :2] / lam[:, None]
+    assert np.max(np.abs(gamma - inst.gamma.values)) <= 1e-12
+    assert np.max(np.abs(lam - inst.lam.values)) <= 1e-12
 
 
 # --- the equal-area story -------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The package's settable values are counted, so a new knob shows up as an edit of this test.
+"""The package's settable values and public names are counted, so a new knob or export shows up as an edit of this test.
 
 A settable value is a function or method parameter with a default, other
 than ``tol``, or a dataclass field, of a function or class defined in one
-of the package's modules.
+of the package's modules.  A public name is a name of ``dir(centropoly)``
+that does not start with an underscore and is not a submodule: which
+submodules appear there depends on what else has been imported.  A plain
+``import centropoly`` binds six, so its ``dir`` holds 65 public names.
 """
 
 import dataclasses
@@ -12,7 +15,8 @@ import pkgutil
 
 import centropoly
 
-MAX_SETTABLE_VALUES = 38
+MAX_SETTABLE_VALUES = 33
+MAX_PUBLIC_NAMES = 59
 
 
 def defaulted_parameters(fn) -> list[str]:
@@ -45,3 +49,11 @@ def settable_values() -> list[str]:
 def test_settable_value_count():
     found = settable_values()
     assert len(found) <= MAX_SETTABLE_VALUES, "\n".join(found)
+
+
+def test_public_name_count():
+    found = [
+        name for name in dir(centropoly)
+        if not name.startswith("_") and not inspect.ismodule(getattr(centropoly, name))
+    ]
+    assert len(found) <= MAX_PUBLIC_NAMES, "\n".join(found)
