@@ -51,11 +51,16 @@ DOCUMENTS = {
     ("pedal --invert", "pedal"): "634065a8a29fd4a9",
 }
 
+# (global flags, verify flags, exit code, stdout prefix); the last two runs
+# pin the failure paths: raised and residual failures, and failed generations
 VERIFY = [
-    (("--instances", "100", "--seed", "1"), 0, "23ff26aa613ab5e5"),
-    (("--instances", "300", "--seed", "5", "--n-range", "5..12"), 0, "8db955c1839348bb"),
-    (("--instances", "40", "--seed", "2", "--n-range", "40..120"), 0, "9cf02d5728453b5c"),
-    (("--instances", "3", "--lambda-range", "1..1"), 4, "4f47ede6ea4f3053"),
+    ((), ("--instances", "100", "--seed", "1"), 0, "23ff26aa613ab5e5"),
+    ((), ("--instances", "300", "--seed", "5", "--n-range", "5..12"), 0, "8db955c1839348bb"),
+    ((), ("--instances", "40", "--seed", "2", "--n-range", "40..120"), 0, "9cf02d5728453b5c"),
+    ((), ("--instances", "3", "--lambda-range", "1..1"), 4, "4f47ede6ea4f3053"),
+    (("--tol-residual", "1e-14"), ("--instances", "40", "--seed", "3"), 1, "ed50aa17570002ab"),
+    (("--tol-sign", "3e-2", "--tol-residual", "1e-14"), ("--instances", "60", "--seed", "4"), 4,
+     "45affdd5d67c7ad7"),
 ]
 
 
@@ -108,7 +113,12 @@ def test_document_command_golden(generated, command, name):
     assert (code, digest) == (0, DOCUMENTS[command, name])
 
 
-@pytest.mark.parametrize("args, exit_code, want", VERIFY, ids=[" ".join(v[0]) for v in VERIFY])
-def test_verify_golden(args, exit_code, want):
-    code, _, digest = run("verify", *args)
+def verify_id(case) -> str:
+    flags, args = case[:2]
+    return " ".join((*flags, "verify", *args) if flags else args)
+
+
+@pytest.mark.parametrize("flags, args, exit_code, want", VERIFY, ids=[verify_id(v) for v in VERIFY])
+def test_verify_golden(flags, args, exit_code, want):
+    code, _, digest = run(*flags, "verify", *args)
     assert (code, digest) == (exit_code, want)
