@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cyclic import NodeSeq, ToleranceConfig
+from .cyclic import NodeSeq, ToleranceConfig, stack
 from .documents import (
     document_nodes,
     document_to_framed,
@@ -228,62 +228,111 @@ def cmd_generate(args, tol: ToleranceConfig) -> int:
 
 
 def _verify_battery(tol: ToleranceConfig):
-    """The checks of one instance, in running order.
+    """The checks, in running order, each run once on a stack of instances.
 
-    A check takes the polygon P and a dict ``got``, returns (ok, residual)
-    and may raise GeometryError.  ``got`` starts with the reference sigma,
-    ``sigma_ref``; what several checks share is computed once, by the first
-    check that needs it, and kept in ``got``: the flattening set, the dual
+    A check takes the stacked polygon P and a dict ``got`` and returns, per
+    instance (segment) in P, whether it passed and its residual; it may
+    raise a GeometryError about one instance.  ``got`` starts with
+    ``sigma_ref``, the sign of the first instance before the stack that ran
+    every check; what several checks share is computed once, by the first
+    check that needs it, and kept in ``got``: the flattening sets, the dual
     pair, its report and its planar parts.
     """
 
     def flattening_count(P, got):
         got["flats"] = flats = flattening_nodes(P, tol)
-        return len(flats) >= 4 and len(flats) % 2 == 0, float(len(flats))
+        return [len(f) >= 4 and len(f) % 2 == 0 for f in flats], [float(len(f)) for f in flats]
 
     def flattening_vertex_sets(P, got):
         got["dual"] = D = dual_pair(P, tol)
-        verts = dual_vertex_edges(D, tol)
-        return got["flats"] == verts, float(len(set(got["flats"]) ^ set(verts)))
+        pairs = list(zip(got["flats"], dual_vertex_edges(D, tol)))
+        return [f == v for f, v in pairs], [float(len(set(f) ^ set(v))) for f, v in pairs]
 
     def coplanarity_concurrency(P, got):
         rep = coplanarity_concurrency_check(P, got["dual"], tol)
-        quiet = not any(rep.coplanar) and not any(rep.concurrent) and all(rep.agreement)
-        return quiet, 0.0 if quiet else 1.0
+        quiet = [not any(c) and not any(k) for c, k in zip(rep.coplanar, rep.concurrent)]
+        return quiet, [0.0 if q else 1.0 for q in quiet]
 
     def duality_involution(P, got):
-        err = involution_error(P, dual_of_dual(got["dual"], tol))
-        return err <= tol.tol_residual, err
+        errs = involution_error(P, dual_of_dual(got["dual"], tol))
+        return [e <= tol.tol_residual for e in errs], errs
 
     def dual_volume_identities(P, got):
         got["report"] = rep = dual_invariants(P, got["dual"], tol)
-        err = max(rep.beta_dual_residual, rep.alpha_dual_residual)
-        return err <= tol.tol_residual, err
+        errs = [max(b, a) for b, a in zip(rep.beta_dual_residual, rep.alpha_dual_residual)]
+        return [e <= tol.tol_residual for e in errs], errs
 
     def delta_lambda_identity(P, got):
-        err = delta_identity_residual(P, tol)
-        return err <= tol.tol_residual, err
+        errs = delta_identity_residual(P, tol)
+        return [e <= tol.tol_residual for e in errs], errs
 
     def dual_projection_convex(P, got):
         got["planar"] = dual_planar_parts(got["dual"], tol)
         convex = is_convex(got["planar"][0], tol)
-        return convex, 0.0 if convex else 1.0
+        return convex, [0.0 if c else 1.0 for c in convex]
 
     def planar_vertices_match(P, got):
         pverts = planar_vertices(*got["planar"], tol)
-        return pverts == got["flats"] and len(pverts) >= 4, float(len(pverts))
+        return (
+            [p == f and len(p) >= 4 for p, f in zip(pverts, got["flats"])],
+            [float(len(p)) for p in pverts],
+        )
 
     def sigma_constant(P, got):
-        rep, sigma_ref = got["report"], got["sigma_ref"]
-        if sigma_ref is not None and rep.sign_sigma != sigma_ref:
-            return False, float(rep.sign_sigma)
-        return rep.sigma_fit_residual <= tol.tol_residual, rep.sigma_fit_residual
+        # every instance that reaches this check runs all of them, so the
+        # reference of all but the first is the stack's first sign at the latest
+        signs, fits = got["report"].sign_sigma, got["report"].sigma_fit_residual
+        ref = got["sigma_ref"]
+        refs = [ref] + [signs[0] if ref is None else ref] * (len(signs) - 1)
+        results = [
+            (False, float(sign)) if r is not None and sign != r else (fit <= tol.tol_residual, fit)
+            for sign, fit, r in zip(signs, fits, refs)
+        ]
+        return [ok for ok, _ in results], [residual for _, residual in results]
 
     return (
         flattening_count, flattening_vertex_sets, coplanarity_concurrency, duality_involution,
         dual_volume_identities, delta_lambda_identity, dual_projection_convex,
         planar_vertices_match, sigma_constant,
     )
+
+
+# verify stacks consecutive instances into chunks of at most this many
+# polygon rows (one instance at least) and runs each check once per chunk:
+# numpy's per-call overhead, not arithmetic, is the cost at these sizes.
+CHUNK_ROWS = 2048
+
+
+def _verify_chunks(args, lo: int, hi: int, lam_range: tuple, tol: ToleranceConfig):
+    """The instances of a verify run, generated one by one, in chunks.
+
+    A chunk is a list of (where, X): the instance's seed and n, and its
+    nodes, or the GeometryError that generating them raised.
+    """
+    chunk, rows = [], 0
+    for index in range(args.instances):
+        seed = [args.seed, index]
+        n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
+        if chunk and rows + n > CHUNK_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+        cfg = GenConfig(seed=seed + [1], n=n, lambda_range=lam_range)
+        try:
+            X = random_radial_instance(cfg, tol).X
+        except GeometryError as exc:  # no instance, so none of its checks run
+            X = exc
+        else:
+            rows += n
+        chunk.append(({"seed": seed, "n": n}, X))
+    if chunk:
+        yield chunk
+
+
+def _failure(where: dict, check: str, outcome) -> dict:
+    """A report entry: the residual that failed its bound, or the GeometryError the check raised."""
+    if isinstance(outcome, GeometryError):
+        return {**where, "check": check, "residual": None, "error": str(outcome)}
+    return {**where, "check": check, "residual": outcome}
 
 
 def cmd_verify(args, tol: ToleranceConfig) -> int:
@@ -298,32 +347,50 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     failures: list[dict] = []
     histogram: dict[int, int] = {}
     sigma_ref: int | None = None
-    for index in range(args.instances):
-        seed = [args.seed, index]
-        n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
-        where = {"seed": seed, "n": n}
-        cfg = GenConfig(seed=seed + [1], n=n, lambda_range=lam_range)
-        try:
-            P = FramedPolygon(random_radial_instance(cfg, tol).X, vertical_field(n))
-        except GeometryError as exc:  # no instance, so none of its checks run
-            failures.append({**where, "check": "generate", "residual": None, "error": str(exc)})
-            continue
-        got = {"sigma_ref": sigma_ref}
-        for check in battery:
-            try:
-                ok, residual = check(P, got)
-            except GeometryError as exc:  # the instance's remaining checks do not run
-                failures.append({**where, "check": check.__name__, "residual": None, "error": str(exc)})
-                break
-            if ok:
-                passes += 1
+    for chunk in _verify_chunks(args, lo, hi, lam_range, tol):
+        found = []  # (instance in chunk, check number, failure), in that order below
+        live = []
+        for i, (where, X) in enumerate(chunk):
+            if isinstance(X, GeometryError):
+                found.append((i, -1, _failure(where, "generate", X)))
             else:
-                failures.append({**where, "check": check.__name__, "residual": residual})
-        else:
-            count = len(got["flats"])
-            histogram[count] = histogram.get(count, 0) + 1
-            if sigma_ref is None:
-                sigma_ref = got["report"].sign_sigma
+                live.append(i)
+        # An instance whose check raises has that failure recorded and leaves
+        # the stack; the stack of the rest runs the battery again, recording
+        # only the checks not yet recorded for it.
+        recorded = 0
+        while live:
+            X = stack([chunk[i][1] for i in live])
+            try:
+                P = FramedPolygon(X, vertical_field(X.n))
+            except GeometryError as exc:  # the polygon of one instance is not valid
+                i = live.pop(exc.segment)
+                found.append((i, -1, _failure(chunk[i][0], "generate", exc)))
+                continue
+            got = {"sigma_ref": sigma_ref}
+            for c, check in enumerate(battery):
+                try:
+                    oks, residuals = check(P, got)
+                except GeometryError as exc:  # the instance's remaining checks do not run
+                    i = live.pop(exc.segment)
+                    found.append((i, c, _failure(chunk[i][0], check.__name__, exc)))
+                    break
+                if c < recorded:
+                    continue
+                recorded = c + 1
+                for i, ok, residual in zip(live, oks, residuals):
+                    if ok:
+                        passes += 1
+                    else:
+                        found.append((i, c, _failure(chunk[i][0], check.__name__, residual)))
+            else:
+                for flats in got["flats"]:
+                    histogram[len(flats)] = histogram.get(len(flats), 0) + 1
+                if sigma_ref is None:
+                    sigma_ref = got["report"].sign_sigma[0]
+                break
+        found.sort(key=lambda f: f[:2])
+        failures += [f for _, _, f in found]
     report = {
         "instances": args.instances,
         "checks_per_instance": len(battery),

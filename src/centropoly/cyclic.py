@@ -13,11 +13,13 @@ Discrete derivatives move between the lattices::
 so ``edge_diff(node_diff(g))`` is the second difference g''.
 
 Polygons are small (tens of nodes), so the cost of the primitives here is
-numpy's per-call overhead rather than arithmetic.  The cyclic shifts are
-therefore two slice concatenations instead of ``np.roll``, and the vector
-products gather permuted components instead of calling ``np.cross``; both
+numpy's per-call overhead rather than arithmetic.  Two things follow.  The
+cyclic shifts are two slice concatenations instead of ``np.roll``, and the
+vector products multiply columns instead of calling ``np.cross``; both
 perform the same floating-point operations as the numpy routines they
-replace, so results agree bit for bit.
+replace, so results agree bit for bit.  And a chunk of polygons can be
+evaluated in one pass: ``stack`` joins sequences into one array whose rows
+split into ``Segments``, each its own cycle.
 
 Sign predicates use a relative dead-band (``tol_sign`` times the sequence's
 largest magnitude) rather than an absolute epsilon, so every analysis is
@@ -50,6 +52,144 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def shift_next(v: np.ndarray) -> np.ndarray:
+    """Slot k gets v[k+1] (mod n); equal to ``np.roll(v, -1, axis=0)``."""
+    return np.concatenate((v[1:], v[:1]))
+
+
+def shift_prev(v: np.ndarray) -> np.ndarray:
+    """Slot k gets v[k-1] (mod n); equal to ``np.roll(v, 1, axis=0)``."""
+    return np.concatenate((v[-1:], v[:-1]))
+
+
+class Segments:
+    """How the rows of a sequence split into cycles: one (``WHOLE``), or one per stacked polygon.
+
+    ``stack`` joins sequences into one array whose rows keep their own
+    cycles, so a chunk of polygons is evaluated in one pass over all its
+    rows.  The shifts wrap within each segment; maxima, sign scans and
+    verdicts are taken per segment.  Every other operation acts row by row,
+    and a maximum is exact under any grouping, so a polygon's numbers in a
+    stack are its numbers on its own, bit for bit.
+
+    A function that returns one result per polygon returns, for a stacked
+    sequence, a list with one result per segment (``unstack``).  An error it
+    raises is about the first segment that fails the earliest of its gates,
+    which it names in ``GeometryError.segment``; its message is the one that
+    polygon alone would give.
+    """
+
+    __slots__ = ("starts", "lasts", "lengths", "bounds")
+
+    def __init__(self, lengths):
+        """Consecutive segments of the given row counts; None gives ``WHOLE``."""
+        if lengths is None:
+            self.starts = self.lasts = self.lengths = self.bounds = None
+            return
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        if self.lengths.ndim != 1 or not self.lengths.size or self.lengths.min() < 3:
+            raise ValueError("segments need period n >= 3 each")
+        self.lasts = np.cumsum(self.lengths) - 1
+        self.starts = self.lasts - (self.lengths - 1)
+        self.bounds = [0, *(self.lasts + 1).tolist()]
+
+    @property
+    def stacked(self) -> bool:
+        return self.starts is not None
+
+    def unstack(self, results: list):
+        """``results``, one per segment, as returned: the list for a stack, its one entry otherwise."""
+        return results if self.starts is not None else results[0]
+
+    def next(self, v: np.ndarray) -> np.ndarray:
+        """Row k gets v[k+1], wrapping to the first row of its segment."""
+        out = shift_next(v)
+        if self.starts is not None:
+            out[self.lasts] = v[self.starts]
+        return out
+
+    def prev(self, v: np.ndarray) -> np.ndarray:
+        """Row k gets v[k-1], wrapping to the last row of its segment."""
+        out = shift_prev(v)
+        if self.starts is not None:
+            out[self.starts] = v[self.lasts]
+        return out
+
+    def max(self, a: np.ndarray) -> np.ndarray:
+        """The largest entry of each segment, along the first axis (the rows)."""
+        if self.starts is None:
+            return a.max(axis=0, keepdims=True)
+        return np.maximum.reduceat(a, self.starts)
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """One value per segment repeated over its rows (a whole sequence's one value broadcasts)."""
+        return x if self.starts is None else np.repeat(x, self.lengths)
+
+    def rows(self, s: int) -> slice:
+        return slice(None) if self.starts is None else slice(self.bounds[s], self.bounds[s + 1])
+
+    def find(self, mask: np.ndarray) -> tuple[int, int, int] | None:
+        """(segment, slot within it, row) of the first true row of ``mask``, or None."""
+        k = int(mask.argmax())
+        if not mask[k]:
+            return None
+        if self.starts is None:
+            return 0, k, k
+        s = int(np.searchsorted(self.lasts, k))
+        return s, k - self.bounds[s], k
+
+    def parts(self, a: np.ndarray) -> list[list]:
+        """The rows of a 1-D array as one list per segment."""
+        values = a.tolist()
+        if self.starts is None:
+            return [values]
+        return [values[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:])]
+
+    def slots(self, mask: np.ndarray) -> list[list[int]]:
+        """Per segment, the ascending slots where ``mask`` is true."""
+        rows = np.flatnonzero(mask)
+        if self.starts is None:
+            return [rows.tolist()]
+        local = (rows - self.starts[np.searchsorted(self.lasts, rows)]).tolist()
+        cuts = [0, *np.searchsorted(rows, self.starts[1:]).tolist(), len(local)]
+        return [local[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+    def signs(self, arr: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+        """Dead-banded signs, each segment scaled by its own largest magnitude."""
+        scale = self.spread(self.max(np.abs(arr))) if arr.size else 0.0
+        band = tol.tol_sign * scale
+        return (arr > band).astype(int) - (arr < -band)
+
+    def flips(self, signs: np.ndarray) -> np.ndarray:
+        """Per row k, whether slots k and k+1 of its segment have strictly opposite signs."""
+        return signs * self.next(signs) < 0
+
+    def sign_flips(self, arr: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+        """``flips`` of the dead-banded signs of ``arr``.
+
+        Every entry must have a strict sign; a zero raises DegenerateSign,
+        for the first segment that has one.
+        """
+        s = self.signs(arr, tol)
+        hit = self.find(s == 0)
+        if hit is not None:
+            raise DegenerateSign(f"entry at slot {hit[1]} has no strict sign").at(hit[0])
+        return self.flips(s)
+
+    def nodes_after(self, flips: np.ndarray) -> list[list[int]]:
+        """Per segment, the slots just after each flip, ascending: junction j gives slot j+1 (mod n)."""
+        return self.slots(self.prev(flips))
+
+    def sums(self, a: np.ndarray) -> np.ndarray:
+        """The sum of each segment of a 1-D array, added up as for that segment alone."""
+        if self.starts is None:
+            return np.sum(a, keepdims=True)
+        return np.array([np.sum(a[lo:hi]) for lo, hi in zip(self.bounds, self.bounds[1:])])
+
+
+WHOLE = Segments(None)
+
+
 def _as_cyclic_values(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim not in (1, 2):
@@ -63,12 +203,26 @@ def _as_cyclic_values(values) -> np.ndarray:
 
 
 class _CyclicSeq:
-    """Shared behaviour of NodeSeq and EdgeSeq: cyclic slot access over an array."""
+    """Shared behaviour of NodeSeq and EdgeSeq: cyclic slot access over an array.
 
-    __slots__ = ("values",)
+    ``segments`` says how the rows split into cycles: ``WHOLE`` for a
+    sequence built on its own, one segment per input for ``stack``.
+    """
+
+    __slots__ = ("values", "segments")
 
     def __init__(self, values):
         object.__setattr__(self, "values", _as_cyclic_values(values))
+        object.__setattr__(self, "segments", WHOLE)
+
+    @classmethod
+    def on(cls, values, segments: Segments):
+        """A sequence of ``values`` whose rows split into ``segments``."""
+        seq = cls(values)
+        if segments.stacked and segments.bounds[-1] != seq.n:
+            raise ValueError("segments must cover the rows of the sequence")
+        object.__setattr__(seq, "segments", segments)
+        return seq
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -95,26 +249,21 @@ class EdgeSeq(_CyclicSeq):
     """Cyclic sequence indexed by half-integers; slot k holds the value at k + 1/2."""
 
 
-def shift_next(v: np.ndarray) -> np.ndarray:
-    """Slot k gets v[k+1] (mod n); equal to ``np.roll(v, -1, axis=0)``."""
-    return np.concatenate((v[1:], v[:1]))
-
-
-def shift_prev(v: np.ndarray) -> np.ndarray:
-    """Slot k gets v[k-1] (mod n); equal to ``np.roll(v, 1, axis=0)``."""
-    return np.concatenate((v[-1:], v[:-1]))
+def stack(seqs: list) -> _CyclicSeq:
+    """The rows of ``seqs`` in order, as one sequence of their type with a segment for each."""
+    return type(seqs[0]).on(np.concatenate([q.values for q in seqs]), Segments([q.n for q in seqs]))
 
 
 def node_diff(g: NodeSeq) -> EdgeSeq:
     """First difference of a node sequence: slot k gets g(k+1) - g(k)."""
-    v = g.values
-    return EdgeSeq(shift_next(v) - v)
+    v, seg = g.values, g.segments
+    return EdgeSeq.on(seg.next(v) - v, seg)
 
 
 def edge_diff(h: EdgeSeq) -> NodeSeq:
     """First difference of an edge sequence: slot i gets h(i+1/2) - h(i-1/2)."""
-    v = h.values
-    return NodeSeq(v - shift_prev(v))
+    v, seg = h.values, h.segments
+    return NodeSeq.on(v - seg.prev(v), seg)
 
 
 def second_diff(g: NodeSeq) -> NodeSeq:
@@ -122,30 +271,20 @@ def second_diff(g: NodeSeq) -> NodeSeq:
     return edge_diff(node_diff(g))
 
 
-# Component orders for the vector product (1, 2, 0) x (2, 0, 1) and for the
-# first-row cofactors (1, 0, 0) x (2, 2, 1).
-_CYC1 = np.array([1, 2, 0])
-_CYC2 = np.array([2, 0, 1])
-_COF1 = np.array([1, 0, 0])
-_COF2 = np.array([2, 2, 1])
-
-
 def det3(a, b, c):
     """3x3 determinant with rows a, b, c, by cofactor expansion along a.
 
     Evaluates a0 (b1 c2 - b2 c1) - a1 (b0 c2 - b2 c0) + a2 (b0 c1 - b1 c0)
     in that order.  Broadcasts over leading axes, so (n, 3) arrays give n
-    determinants.
+    determinants.  It multiplies columns: gathering permuted components
+    costs a copy per row, which dominates on stacked arrays.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    cof = (
-        b.take(_COF1, axis=-1) * c.take(_COF2, axis=-1)
-        - b.take(_COF2, axis=-1) * c.take(_COF1, axis=-1)
-    )
-    t = a * cof
-    return t[..., 0] - t[..., 1] + t[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
+    return a[..., 0] * (b1 * c2 - b2 * c1) - a[..., 1] * (b0 * c2 - b2 * c0) + a[..., 2] * (b0 * c1 - b1 * c0)
 
 
 def cross3(a, b) -> np.ndarray:
@@ -157,10 +296,9 @@ def cross3(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return (
-        a.take(_CYC1, axis=-1) * b.take(_CYC2, axis=-1)
-        - a.take(_CYC2, axis=-1) * b.take(_CYC1, axis=-1)
-    )
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -182,12 +320,16 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
+def _split(values) -> tuple[np.ndarray, Segments]:
+    if isinstance(values, _CyclicSeq):
+        return values.values, values.segments
+    return np.asarray(values, dtype=float), WHOLE
+
+
 def strict_signs(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Dead-banded signs of a whole sequence, scaled by its own max magnitude."""
-    arr = values.values if isinstance(values, _CyclicSeq) else np.asarray(values, dtype=float)
-    scale = float(np.abs(arr).max()) if arr.size else 0.0
-    band = tol.tol_sign * scale
-    return (arr > band).astype(int) - (arr < -band)
+    """Dead-banded signs of a whole sequence, scaled by its own max magnitude (per segment of a stack)."""
+    arr, seg = _split(values)
+    return seg.signs(arr, tol)
 
 
 def cyclic_sign_changes(values, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, list[int]]:
@@ -198,13 +340,8 @@ def cyclic_sign_changes(values, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int
     a zero raises DegenerateSign since ties cannot be classified.  The count
     is always even on a cycle.
     """
-    s = strict_signs(values, tol)
-    zeros = np.nonzero(s == 0)[0]
-    if zeros.size:
-        raise DegenerateSign(f"entry at slot {int(zeros[0])} has no strict sign")
-    flips = s * shift_next(s) < 0
-    junctions = [int(j) for j in np.nonzero(flips)[0]]
-    return len(junctions), junctions
+    arr, seg = _split(values)
+    return seg.unstack([(len(js), js) for js in seg.slots(seg.sign_flips(arr, tol))])
 
 
 def sign_change_nodes(values, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
@@ -214,6 +351,5 @@ def sign_change_nodes(values, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     as an edge sequence, that is node j+1 (mod n).  Raises DegenerateSign as
     ``cyclic_sign_changes`` does.
     """
-    _, junctions = cyclic_sign_changes(values, tol)
-    n = len(values)
-    return sorted((j + 1) % n for j in junctions)
+    arr, seg = _split(values)
+    return seg.unstack(seg.nodes_after(seg.sign_flips(arr, tol)))

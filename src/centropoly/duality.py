@@ -14,6 +14,11 @@ shift.  That convention is used throughout this module.
 The dual curvature satisfies b(Y,V) = sigma * lambda(X,U) for a single
 global sign sigma; this implementation measures sigma instead of assuming
 it, and the test suite pins its observed value.
+
+Every function here that verify runs takes a stack of polygons as well as
+one polygon (see ``cyclic.Segments``): the dual pair of a stack is the
+stack of the dual pairs, and a per-polygon result comes back as a list with
+one entry per segment.
 """
 
 from __future__ import annotations
@@ -27,20 +32,18 @@ from .cyclic import (
     DEFAULT_TOL,
     EdgeSeq,
     NodeSeq,
+    Segments,
     ToleranceConfig,
     cross3,
     det3,
     row_norms,
-    shift_next,
-    shift_prev,
-    sign_change_nodes,
-    strict_signs,
 )
-from .errors import DegenerateSign, DualityResidual, NotGeneric, NotParallel
+from .errors import DegenerateSign, DualityResidual, NotGeneric
 from .invariants import (
     FramedPolygon,
     _alpha_values,
     _lambda_values,
+    _not_tangential,
     _tangential_fit,
     _tangential_verdict,
 )
@@ -53,11 +56,15 @@ class DualPair:
     Y: EdgeSeq
     V: EdgeSeq
 
+    @property
+    def segments(self) -> Segments:
+        return self.Y.segments
+
     @cached_property
     def increments(self) -> tuple[np.ndarray, np.ndarray]:
         """(V'(i), Y'(i)) in slot i, the increments across the dual edges."""
-        Yv, Vv = self.Y.values, self.V.values
-        return Vv - shift_prev(Vv), Yv - shift_prev(Yv)
+        Yv, Vv, seg = self.Y.values, self.V.values, self.segments
+        return Vv - seg.prev(Vv), Yv - seg.prev(Yv)
 
     @cached_property
     def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,6 +93,8 @@ _RELATION_NAMES = (
 # Required value of (Y, V) dotted with (X', U, X, U+, X+); all are
 # nonnegative, so they double as their own magnitudes in the bound.
 _RELATION_WANT = np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]])[:, :, None]
+# The far-node relations, U+ and X+, in the order above.
+_FAR = np.arange(5) >= 3
 
 
 def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
@@ -97,51 +106,52 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
     relations are evaluated at once; an error names the first failing one,
     in the order Y.X', Y.U, Y.X, V.X', V.U, V.X, then the far-node four.
     """
+    seg = P.segments
     r, r_next, e = P.X.values, P.nodes_next, P.edge_vectors
     u = P.U.values
     duals = cross3(np.array((r, e)), np.array((r_next, u))) / P.beta_values[:, None]
     Yv, Vv = duals
 
-    try:
-        _tangential_verdict(P.curvature_fit, tol)
-    except NotParallel:
-        partners = np.array((e, u, r))
-    else:
-        partners = np.array((e, u, r, P.field_next, r_next))
-    want = _RELATION_WANT[:, : len(partners)]
+    partners = np.array((e, u, r, P.field_next, r_next))
     got = np.einsum("dij,pij->dpi", duals, partners)
     norms = row_norms(np.array((r, u, Yv, Vv)))
-    r_top, u_top = norms[:2].max(axis=1)
-    bound = tol.tol_residual * (norms[2:, None, :] * float(r_top + u_top) + want)
-    excess = (np.abs(got - want) - bound).max(axis=2)
-    if (excess > 0.0).any():
+    top = seg.spread(seg.max(norms[0]) + seg.max(norms[1]))
+    bound = tol.tol_residual * (norms[2:, None, :] * top + _RELATION_WANT)
+    # per segment (rows), for (Y, V) and each partner
+    excess = seg.max(np.moveaxis(np.abs(got - _RELATION_WANT) - bound, -1, 0))
+    # the far-node relations are checked where U is parallel
+    unchecked = seg.max(_not_tangential(P.curvature_fit, tol))[:, None, None] & _FAR
+    excess = np.where(unchecked, -np.inf, excess)
+    hit = (excess > 0.0).any(axis=(1, 2))
+    if hit.any():
+        s = int(hit.argmax())
         # rows are (Y, V); put the six near-node relations before the far ones
-        excess = np.concatenate((excess[:, :3].ravel(), excess[:, 3:].ravel()))
-        j = int(np.argmax(excess > 0.0))
-        raise DualityResidual(f"defining relation {_RELATION_NAMES[j]} failed by {excess[j]:.3e}")
-    return DualPair(EdgeSeq(Yv), EdgeSeq(Vv))
+        worst = np.concatenate((excess[s, :, :3].ravel(), excess[s, :, 3:].ravel()))
+        j = int(np.argmax(worst > 0.0))
+        raise DualityResidual(f"defining relation {_RELATION_NAMES[j]} failed by {worst[j]:.3e}").at(s)
+    return DualPair(EdgeSeq.on(Yv, seg), EdgeSeq.on(Vv, seg))
 
 
 def dual_beta_values(D: DualPair) -> np.ndarray:
     """beta(Y,V)(i) = [Y(i-1/2), Y(i+1/2), V(i+1/2)], slot i."""
     Yv, Vv = D.Y.values, D.V.values
-    return det3(shift_prev(Yv), Yv, Vv)
+    return det3(D.segments.prev(Yv), Yv, Vv)
 
 
 def dual_alpha_values(D: DualPair) -> np.ndarray:
     """alpha(Y)(k+1/2) = [Y(k-1/2), Y(k+1/2), Y(k+3/2)], slot k."""
-    return _alpha_values(D.Y.values)
+    return _alpha_values(D.Y.values, D.segments)
 
 
 def dual_curvature(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """b(Y,V)(i) with V'(i) = -b(Y,V)(i) Y'(i); indexed by the dual edges (integers)."""
-    return _tangential_verdict(D.curvature_fit, tol)
+    return _tangential_verdict(D.curvature_fit, D.segments, tol)
 
 
 def _dual_curvature_jumps(D: DualPair, tol: ToleranceConfig) -> np.ndarray:
     """b(Y,V)' at the dual nodes: slot j holds b(Y,V)(j+1) - b(Y,V)(j), the value at j+1/2."""
     b_dual = dual_curvature(D, tol)
-    return shift_next(b_dual) - b_dual
+    return D.segments.next(b_dual) - b_dual
 
 
 def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> DualReport:
@@ -158,37 +168,39 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     Scaling by a power of two is exact, so in range this rounds exactly as
     the plain quotients do.
     """
+    seg = P.segments
     a, ea = np.frexp(P.alpha_values)
     b, eb = np.frexp(P.beta_values)
-    b_prev, eb_prev = shift_prev(b), shift_prev(eb)
+    b_prev, eb_prev = seg.prev(b), seg.prev(eb)
+    b_next, eb_next = seg.next(b), seg.next(eb)
     bd = dual_beta_values(D)
     bd_expect = np.ldexp(a / (b_prev * b), ea - eb_prev - eb)
     ad = dual_alpha_values(D)
     ad_expect = np.ldexp(
-        a * shift_next(a) / (b_prev * b * shift_next(b)),
-        ea + shift_next(ea) - eb_prev - eb - shift_next(eb),
+        a * seg.next(a) / (b_prev * b * b_next),
+        ea + seg.next(ea) - eb_prev - eb - eb_next,
     )
 
     def rel(got, want):
-        scale = max(float(np.max(np.abs(got))), float(np.max(np.abs(want))), 1e-300)
-        return float(np.max(np.abs(got - want)) / scale)
+        scale = np.maximum(np.maximum(seg.max(np.abs(got)), seg.max(np.abs(want))), 1e-300)
+        return seg.max(np.abs(got - want)) / scale
 
     dV, dY = D.increments
     crossnorm = row_norms(cross3(dV, dY))
     denom = row_norms(dV) * row_norms(dY)
-    parallel_resid = float(np.max(crossnorm / np.where(denom == 0.0, 1.0, denom)))
+    parallel_resid = seg.max(crossnorm / np.where(denom == 0.0, 1.0, denom))
 
     b_dual = dual_curvature(D, tol)
     lam = _lambda_values(P, tol)
-    lam_scale = max(1.0, float(np.max(np.abs(lam))))
-    dev = {s: float(np.max(np.abs(b_dual - s * lam))) for s in (1, -1)}
-    sigma = min(dev, key=dev.get)
+    lam_scale = np.maximum(1.0, seg.max(np.abs(lam)))
+    dev_plus, dev_minus = seg.max(np.abs(b_dual - lam)), seg.max(np.abs(b_dual + lam))
+    plus = dev_plus <= dev_minus
     return DualReport(
-        beta_dual_residual=rel(bd, bd_expect),
-        alpha_dual_residual=rel(ad, ad_expect),
-        v_parallel_residual=parallel_resid,
-        sign_sigma=sigma,
-        sigma_fit_residual=dev[sigma] / lam_scale,
+        beta_dual_residual=seg.unstack(rel(bd, bd_expect).tolist()),
+        alpha_dual_residual=seg.unstack(rel(ad, ad_expect).tolist()),
+        v_parallel_residual=seg.unstack(parallel_resid.tolist()),
+        sign_sigma=seg.unstack(np.where(plus, 1, -1).tolist()),
+        sigma_fit_residual=seg.unstack((np.where(plus, dev_plus, dev_minus) / lam_scale).tolist()),
     )
 
 
@@ -199,17 +211,20 @@ def dual_of_dual(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> FramedPolyg
     original index set with no shift.  The result is validated by checking
     that its own dual reproduces (Y, V).
     """
+    seg = D.segments
     Yv, Vv = D.Y.values, D.V.values
-    Y_prev = shift_prev(Yv)
+    Y_prev = seg.prev(Yv)
     bd = det3(Y_prev, Yv, Vv)[:, None]  # dual_beta_values(D)
-    Xv, Uv = cross3(np.array((Y_prev, Yv - Y_prev)), np.array((Yv, shift_prev(Vv)))) / bd
-    P = FramedPolygon(NodeSeq(Xv), NodeSeq(Uv))
+    Xv, Uv = cross3(np.array((Y_prev, Yv - Y_prev)), np.array((Yv, seg.prev(Vv)))) / bd
+    P = FramedPolygon(NodeSeq.on(Xv, seg), NodeSeq.on(Uv, seg))
     back = dual_pair(P, tol)
     pair = np.array((Yv, Vv))
-    scale = float(np.abs(pair).max())
-    err = float(np.abs(np.array((back.Y.values, back.V.values)) - pair).max())
-    if err > tol.tol_residual * scale:
-        raise DualityResidual(f"dual of the reconstructed pair deviates by {err:.3e}")
+    scale = seg.max(np.abs(pair).max(axis=(0, 2)))
+    err = seg.max(np.abs(np.array((back.Y.values, back.V.values)) - pair).max(axis=(0, 2)))
+    bad = err > tol.tol_residual * scale
+    if bad.any():
+        s = int(bad.argmax())
+        raise DualityResidual(f"dual of the reconstructed pair deviates by {err[s]:.3e}").at(s)
     return P
 
 
@@ -219,15 +234,20 @@ def involution_error(P: FramedPolygon, back: FramedPolygon) -> float:
     The larger of the deviations in X and in U, each relative to the
     largest entry of P's array, or to 1 when that is smaller.
     """
-    return max(
-        float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+    seg = P.segments
+    err_x, err_u = (
+        seg.max(np.abs(got - want).max(axis=1)) / np.maximum(1.0, seg.max(np.abs(want).max(axis=1)))
         for got, want in ((back.X.values, P.X.values), (back.U.values, P.U.values))
     )
+    return seg.unstack(np.maximum(err_x, err_u).tolist())
 
 
 @dataclass(frozen=True)
 class CoplanarityReport:
-    """Edgewise comparison of node coplanarity with dual normal-line concurrency."""
+    """Edgewise comparison of node coplanarity with dual normal-line concurrency.
+
+    For a stack of polygons each field holds one tuple per segment.
+    """
 
     coplanar: tuple[bool, ...]
     concurrent: tuple[bool, ...]
@@ -246,18 +266,22 @@ def coplanarity_concurrency_check(
     by the curvature-equality criterion b(Y,V)(i) = b(Y,V)(i+1), not by
     intersecting lines in floating point.
     """
-    _tangential_verdict(P.curvature_fit, tol)  # the correspondence needs a parallel field
-    coplanar = strict_signs(P.delta_values, tol) == 0
-    concurrent = strict_signs(_dual_curvature_jumps(D, tol), tol) == 0
+    seg = P.segments
+    _tangential_verdict(P.curvature_fit, seg, tol)  # the correspondence needs a parallel field
+    coplanar = seg.signs(P.delta_values, tol) == 0
+    concurrent = seg.signs(_dual_curvature_jumps(D, tol), tol) == 0
     return CoplanarityReport(
-        coplanar=tuple(bool(x) for x in coplanar),
-        concurrent=tuple(bool(x) for x in concurrent),
+        coplanar=seg.unstack([tuple(part) for part in seg.parts(coplanar)]),
+        concurrent=seg.unstack([tuple(part) for part in seg.parts(concurrent)]),
     )
 
 
 def dual_vertex_edges(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Vertices of the dual pair: dual edges i where b(Y,V)' changes sign across i."""
+    seg = D.segments
+    jumps = _dual_curvature_jumps(D, tol)
     try:
-        return sign_change_nodes(_dual_curvature_jumps(D, tol), tol)
+        flips = seg.sign_flips(jumps, tol)
     except DegenerateSign as exc:
-        raise NotGeneric("a dual curvature difference has no strict sign") from exc
+        raise NotGeneric("a dual curvature difference has no strict sign").at(exc.segment) from exc
+    return seg.unstack(seg.nodes_after(flips))

@@ -2,7 +2,19 @@
 
 
 class GeometryError(Exception):
-    """Base class for all polygon-geometry errors."""
+    """Base class for all polygon-geometry errors.
+
+    ``segment`` is the polygon the error is about, within a stack of
+    polygons evaluated in one pass (see ``cyclic.Segments``); it is 0 for a
+    polygon on its own.
+    """
+
+    segment = 0
+
+    def at(self, segment: int) -> "GeometryError":
+        """This error, marked as being about stacked polygon ``segment``."""
+        self.segment = segment
+        return self
 
 
 class DegenerateSign(GeometryError):

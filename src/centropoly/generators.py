@@ -334,7 +334,7 @@ def perturb_to_generic(X: NodeSeq, cfg: GenConfig, tol: ToleranceConfig = DEFAUL
     Already-generic input is returned untouched.  Noise magnitude is
     perturb_scale times the polygon diameter, redrawn up to max_retries.
     """
-    if is_generic(X, tol) and np.all(_alpha_values(X.values) > 0.0):
+    if is_generic(X, tol) and np.all(_alpha_values(X.values, X.segments) > 0.0):
         return X
     rng = cfg.rng()
     spread = X.values - X.values.mean(axis=0)
@@ -342,7 +342,7 @@ def perturb_to_generic(X: NodeSeq, cfg: GenConfig, tol: ToleranceConfig = DEFAUL
     for _ in range(cfg.max_retries):
         noise = rng.uniform(-1.0, 1.0, X.values.shape) * cfg.perturb_scale * diameter
         trial = NodeSeq(X.values + noise)
-        if is_generic(trial, tol) and np.all(_alpha_values(trial.values) > 0.0):
+        if is_generic(trial, tol) and np.all(_alpha_values(trial.values, trial.segments) > 0.0):
             return trial
     raise GenerationFailed(f"perturbation stayed degenerate after {cfg.max_retries} tries")
 

@@ -14,7 +14,10 @@ Delta(i+1/2) is the torsion-like volume of three consecutive edge vectors.
 Vertices are edges where b' changes sign, flattening points are nodes where
 Delta changes sign.
 
-All functions are pure; polygons and sequences are immutable values.
+All functions are pure; polygons and sequences are immutable values.  A
+polygon may hold a stack of polygons, one per segment of its rows (see
+``cyclic.Segments``): the functions that verify runs evaluate every segment
+in one pass and return one result per segment.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ import numpy as np
 
 from .cyclic import (
     DEFAULT_TOL,
+    WHOLE,
     EdgeSeq,
     NodeSeq,
+    Segments,
     ToleranceConfig,
-    cyclic_sign_changes,
     det3,
     row_norms,
-    shift_next,
-    shift_prev,
-    sign_change_nodes,
     strict_signs,
 )
 from .errors import (
@@ -61,41 +62,46 @@ def _tangential_fit(df: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndar
     return b, resid, df_norm + np.abs(b) * dg_norm
 
 
-def _tangential_verdict(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
+def _not_tangential(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
+    """Per slot, whether a ``_tangential_fit``'s residual is not within tol_residual times its scale (NaN is not)."""
+    _, resid, scale = fit
+    return ~(resid <= tol.tol_residual * scale)
+
+
+def _tangential_verdict(fit: tuple, seg: Segments, tol: ToleranceConfig) -> np.ndarray:
     """b of a ``_tangential_fit``, or NotParallel when a residual is not within tol_residual times its scale.
 
     A NaN residual, from an edge increment that is zero or whose square is
     out of floating-point range, fails its bound with an error saying so.
     """
-    b, resid, scale = fit
-    bound = tol.tol_residual * scale
-    bad = ~(resid <= bound)
-    k = int(bad.argmax())
-    if bad[k]:
-        if np.isnan(resid[k]):
+    hit = seg.find(_not_tangential(fit, tol))
+    if hit is not None:
+        s, k, row = hit
+        _, resid, scale = fit
+        if np.isnan(resid[row]):
             raise NotParallel(
                 f"increment at edge slot {k} has no tangential fit "
                 "(the edge increment is zero or out of range)"
-            )
+            ).at(s)
         raise NotParallel(
             f"increment at edge slot {k} is not tangential "
-            f"(residual {resid[k]:.3e} > bound {bound[k]:.3e})"
-        )
-    return b
+            f"(residual {resid[row]:.3e} > bound {tol.tol_residual * scale[row]:.3e})"
+        ).at(s)
+    return fit[0]
 
 
 def tangential_ratio(df: np.ndarray, dg: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Extract b with df = -b dg slotwise, or raise NotParallel."""
-    return _tangential_verdict(_tangential_fit(df, dg), tol)
+    return _tangential_verdict(_tangential_fit(df, dg), WHOLE, tol)
 
 
-def _alpha_values(r: np.ndarray) -> np.ndarray:
-    return det3(shift_prev(r), r, shift_next(r))
+def _alpha_values(r: np.ndarray, seg: Segments) -> np.ndarray:
+    return det3(seg.prev(r), r, seg.next(r))
 
 
-def _delta_values(x: np.ndarray) -> np.ndarray:
-    e = shift_next(x) - x
-    return det3(shift_next(e), e, shift_prev(e))
+def _delta_values(x: np.ndarray, seg: Segments) -> np.ndarray:
+    e = seg.next(x) - x
+    return det3(seg.next(e), e, seg.prev(e))
 
 
 class FramedPolygon:
@@ -103,7 +109,10 @@ class FramedPolygon:
 
     Construction validates alpha(i) > 0 and beta(i+1/2) > 0.  Input whose
     alpha is negative at every node is accepted and silently reoriented by
-    reversing the node order; mixed signs are rejected.
+    reversing the node order; mixed signs are rejected.  X may be a stack of
+    polygons (``cyclic.stack``), and U then takes its segments; each segment
+    is validated, and reoriented, on its own, and an error names the first
+    failing segment.
 
     X is taken about the origin (0, 0, 0); a document with another origin
     has it subtracted when it is read.  The arrays every invariant starts
@@ -123,29 +132,43 @@ class FramedPolygon:
             raise ValueError("X must hold 3-vectors")
         if U.values.shape != X.values.shape:
             raise ValueError("U must hold one 3-vector per node")
+        seg = X.segments
+        if U.segments is not seg:
+            U = NodeSeq.on(U.values, seg)
         r = X.values
-        a = _alpha_values(r)
+        a = _alpha_values(r, seg)
         if not a.min() > 0.0:
-            if (a < 0.0).all():
-                X = NodeSeq(X.values[::-1])
-                U = NodeSeq(U.values[::-1])
+            flip = seg.max(a) < 0.0
+            if flip.any():
+                order = np.arange(len(r))
+                for s in np.flatnonzero(flip):
+                    order[seg.rows(s)] = order[seg.rows(s)][::-1]
+                X = NodeSeq.on(r[order], seg)
+                U = NodeSeq.on(U.values[order], seg)
                 r = X.values
-                a = _alpha_values(r)
-            if not (a > 0.0).all():
+                a = _alpha_values(r, seg)
+            hit = seg.find(~(a > 0.0))
+            if hit is not None:
+                s = hit[0]
                 raise NotLocallyConvex(
-                    f"alpha is not positive at node slot {int(np.argmin(a))}"
-                )
+                    f"alpha is not positive at node slot {int(np.argmin(a[seg.rows(s)]))}"
+                ).at(s)
         self.X = X
         self.U = U
-        self.nodes_next = r_next = shift_next(r)
+        self.nodes_next = r_next = seg.next(r)
         self.alpha_values = a
         self.beta_values = b = det3(r, r_next, U.values)
         if not b.min() > 0.0:
-            raise NonTransversal(f"beta is not positive at edge slot {int(np.argmin(b))}")
+            s = seg.find(~(b > 0.0))[0]
+            raise NonTransversal(f"beta is not positive at edge slot {int(np.argmin(b[seg.rows(s)]))}").at(s)
 
     @property
     def n(self) -> int:
         return self.X.n
+
+    @property
+    def segments(self) -> Segments:
+        return self.X.segments
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
@@ -156,12 +179,12 @@ class FramedPolygon:
     def second_diffs(self) -> np.ndarray:
         """X''(i) in slot i."""
         e = self.edge_vectors
-        return e - shift_prev(e)
+        return e - self.segments.prev(e)
 
     @cached_property
     def field_next(self) -> np.ndarray:
         """U(k+1) in slot k."""
-        return shift_next(self.U.values)
+        return self.segments.next(self.U.values)
 
     @cached_property
     def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,7 +194,7 @@ class FramedPolygon:
     @cached_property
     def delta_values(self) -> np.ndarray:
         """Delta(k+1/2) in slot k."""
-        return _delta_values(self.X.values)
+        return _delta_values(self.X.values, self.segments)
 
     @cached_property
     def osculating_dets(self) -> np.ndarray:
@@ -184,26 +207,31 @@ class FramedPolygon:
 
 def alpha(P: FramedPolygon) -> NodeSeq:
     """Node volumes alpha(i) = [X(i-1), X(i), X(i+1)] about the origin."""
-    return NodeSeq(P.alpha_values)
+    return NodeSeq.on(P.alpha_values, P.segments)
 
 
 def beta(P: FramedPolygon) -> EdgeSeq:
     """Edge volumes beta(i+1/2) = [X(i), X(i+1), U(i)] about the origin."""
-    return EdgeSeq(P.beta_values)
+    return EdgeSeq.on(P.beta_values, P.segments)
 
 
 def curvature_b(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq:
     """Edge curvatures of a parallel field: U' = -b X'."""
-    return EdgeSeq(_tangential_verdict(P.curvature_fit, tol))
+    return EdgeSeq.on(_tangential_verdict(P.curvature_fit, P.segments, tol), P.segments)
+
+
+def _lambda_misfit(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
+    """Per segment, whether [X', X'', X] fails to reproduce alpha within tol_residual."""
+    den, _ = P.osculating_dets
+    a, seg = P.alpha_values, P.segments
+    return seg.max(np.abs(den - a)) > tol.tol_residual * seg.max(np.abs(a))
 
 
 def _lambda_values(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
-    den, num = P.osculating_dets
-    a = P.alpha_values
-    scale = float(np.abs(a).max())
-    if np.abs(den - a).max() > tol.tol_residual * scale:
-        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha")
-    return num / a
+    bad = _lambda_misfit(P, tol)
+    if bad.any():
+        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha").at(int(bad.argmax()))
+    return P.osculating_dets[1] / P.alpha_values
 
 
 def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
@@ -213,11 +241,11 @@ def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSe
     [X', X'', X] expands to exactly alpha(i), which is re-checked here, so
     local convexity guarantees well-posedness.
     """
-    return NodeSeq(_lambda_values(P, tol))
+    return NodeSeq.on(_lambda_values(P, tol), P.segments)
 
 
 def _delta_of(poly) -> np.ndarray:
-    return poly.delta_values if isinstance(poly, FramedPolygon) else _delta_values(poly.values)
+    return poly.delta_values if isinstance(poly, FramedPolygon) else _delta_values(poly.values, poly.segments)
 
 
 def delta(poly) -> EdgeSeq:
@@ -226,12 +254,12 @@ def delta(poly) -> EdgeSeq:
     Accepts a FramedPolygon or a bare NodeSeq of 3-vectors; only differences
     enter, so a translation of X leaves Delta unchanged.
     """
-    return EdgeSeq(_delta_of(poly))
+    return EdgeSeq.on(_delta_of(poly), poly.segments)
 
 
 def is_generic(poly, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when every Delta has a strict sign under the dead-band."""
-    return bool((strict_signs(_delta_of(poly), tol) != 0).all())
+    """True when every Delta has a strict sign under the dead-band (in every segment of a stack)."""
+    return bool((poly.segments.signs(_delta_of(poly), tol) != 0).all())
 
 
 def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
@@ -239,31 +267,37 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
 
     Requires a generic polygon.  When the input is a framed polygon with a
     parallel field, the equivalent criterion through sign changes of
-    lambda' is evaluated as a cross-check.
+    lambda' is evaluated as a cross-check, where its own gates pass: lambda
+    reproduces alpha and every lambda' has a strict sign.
     """
+    seg = poly.segments
     try:
-        nodes = sign_change_nodes(_delta_of(poly), tol)
+        flips = seg.sign_flips(_delta_of(poly), tol)
     except DegenerateSign as exc:
-        raise NotGeneric(str(exc)) from exc
+        raise NotGeneric(str(exc)).at(exc.segment) from exc
+    nodes = seg.nodes_after(flips)
     if isinstance(poly, FramedPolygon):
-        try:
-            lam = _lambda_values(poly, tol)
-            _tangential_verdict(poly.curvature_fit, tol)
-            lam_nodes = sign_change_nodes(shift_next(lam) - lam, tol)
-        except (NotParallel, IdentityCheckFailed, DegenerateSign):
-            return nodes
-        if lam_nodes != nodes:
-            raise IdentityCheckFailed(
-                f"flattening sets disagree: Delta {nodes} vs lambda' {lam_nodes}"
-            )
-    return nodes
+        lam = poly.osculating_dets[1] / poly.alpha_values
+        signs = seg.signs(seg.next(lam) - lam, tol)
+        skip = (
+            _lambda_misfit(poly, tol)
+            | seg.max(_not_tangential(poly.curvature_fit, tol))
+            | seg.max(signs == 0)
+        )
+        lam_nodes = seg.nodes_after(seg.flips(signs))
+        for s, (skipped, want, got) in enumerate(zip(skip.tolist(), nodes, lam_nodes)):
+            if not skipped and got != want:
+                raise IdentityCheckFailed(
+                    f"flattening sets disagree: Delta {want} vs lambda' {got}"
+                ).at(s)
+    return seg.unstack(nodes)
 
 
 def vertex_edges(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Edges (i+1/2) where b'(i) * b'(i+1) < 0, for a parallel field."""
-    b = _tangential_verdict(P.curvature_fit, tol)
-    _, junctions = cyclic_sign_changes(b - shift_prev(b), tol)
-    return sorted(junctions)
+    seg = P.segments
+    b = _tangential_verdict(P.curvature_fit, seg, tol)
+    return seg.unstack(seg.slots(seg.sign_flips(b - seg.prev(b), tol)))
 
 
 @dataclass(frozen=True)
@@ -282,7 +316,7 @@ def focal_points(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[F
     curvature has no strict sign yield the common direction U(i) instead:
     the two normal lines are parallel and meet at infinity.
     """
-    b = _tangential_verdict(P.curvature_fit, tol)
+    b = _tangential_verdict(P.curvature_fit, P.segments, tol)
     signs = strict_signs(b, tol)
     r, u = P.X.values, P.U.values
     r_next, u_next = P.nodes_next, P.field_next
@@ -315,7 +349,7 @@ def is_constant_curvature(
     du = P.field_next - u
     if np.max(row_norms(du)) <= tol.tol_sign * np.max(row_norms(u)):
         return True, u[0].copy()
-    b = _tangential_verdict(P.curvature_fit, tol)
+    b = _tangential_verdict(P.curvature_fit, P.segments, tol)
     bmax = float(np.max(np.abs(b)))
     if np.max(np.abs(b - b.mean())) > tol.tol_residual * bmax:
         return False, None
@@ -329,17 +363,18 @@ def delta_identity_residual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     A validation diagnostic: the identity holds exactly for any framed
     polygon with a parallel field, so the residual measures numerical noise.
     """
-    _tangential_verdict(P.curvature_fit, tol)  # parallelism gate
+    seg = P.segments
+    _tangential_verdict(P.curvature_fit, seg, tol)  # parallelism gate
     lhs = P.beta_values * P.delta_values
     lam = _lambda_values(P, tol)
-    rhs = (shift_next(lam) - lam) * P.alpha_values * shift_next(P.alpha_values)
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    rhs = (seg.next(lam) - lam) * P.alpha_values * seg.next(P.alpha_values)
+    scale = np.maximum(np.maximum(seg.max(np.abs(lhs)), seg.max(np.abs(rhs))), 1.0)
+    return seg.unstack((seg.max(np.abs(lhs - rhs)) / scale).tolist())
 
 
 def is_equal_volume(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when alpha(i) = 1 at every node, within tol_residual."""
-    a = _alpha_values(X.values)
+    a = _alpha_values(X.values, X.segments)
     return bool(np.max(np.abs(a - 1.0)) <= tol.tol_residual * max(1.0, float(np.max(np.abs(a)))))
 
 
@@ -357,5 +392,5 @@ def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
     """
     if d <= 0.0:
         raise NonTransversal("reframing needs a positive coefficient on U")
-    U = NodeSeq(c * P.X.values + d * P.U.values)
+    U = NodeSeq.on(c * P.X.values + d * P.U.values, P.segments)
     return FramedPolygon(P.X, U)

@@ -34,8 +34,6 @@ from .cyclic import (
     det3,
     shift_next,
     shift_prev,
-    sign_change_nodes,
-    strict_signs,
 )
 from .duality import DualPair, dual_pair
 from .errors import (
@@ -44,10 +42,15 @@ from .errors import (
     NonTransversal,
     NotExact,
     NotGeneric,
-    NotParallel,
     NotPlanarDual,
 )
-from .invariants import FramedPolygon, is_constant_curvature, tangential_ratio
+from .invariants import (
+    FramedPolygon,
+    _not_tangential,
+    _tangential_fit,
+    is_constant_curvature,
+    tangential_ratio,
+)
 
 # The vertical constant field E = (0, 0, 1), the dual field of every lifting.
 E3 = np.array([0.0, 0.0, 1.0])
@@ -232,29 +235,36 @@ def is_convex(poly: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     Local turn signs alone admit star polygons that wind more than once;
     requiring the summed exterior angles to equal 2*pi (winding index one)
     excludes them.  Three collinear consecutive nodes have no strict turn
-    sign and raise DegenerateSign.
+    sign and raise DegenerateSign.  A stack of polygons gives one verdict
+    per segment.
     """
-    e = shift_next(poly.values) - poly.values
-    prev = shift_prev(e)
+    seg = poly.segments
+    v = poly.values
+    e = seg.next(v) - v
+    prev = seg.prev(e)
     turns = area2(prev, e)
-    signs = strict_signs(turns, tol)
-    if np.any(signs == 0):
-        raise DegenerateSign("three consecutive nodes are collinear")
-    if not np.all(signs == 1):
-        return False
+    signs = seg.signs(turns, tol)
+    hit = seg.find(signs == 0)
+    if hit is not None:
+        raise DegenerateSign("three consecutive nodes are collinear").at(hit[0])
+    left = ~seg.max(signs != 1)
     angles = np.arctan2(turns, np.einsum("ij,ij->i", prev, e))
-    return bool(abs(float(np.sum(angles)) - 2.0 * np.pi) <= TURNING_TOL)
+    winds_once = np.abs(seg.sums(angles) - 2.0 * np.pi) <= TURNING_TOL
+    return seg.unstack((left & winds_once).tolist())
+
+
+def _exact_fit(y: NodeSeq, v: NodeSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_tangential_fit`` of v' = -b y' on the edges of y."""
+    seg = y.segments
+    return _tangential_fit(seg.next(v.values) - v.values, seg.next(y.values) - y.values)
 
 
 def is_exact(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, EdgeSeq | None]:
     """Test v' = -b y' slotwise and return the curvatures when exact."""
-    dy = shift_next(y.values) - y.values
-    dv = shift_next(v.values) - v.values
-    try:
-        b = tangential_ratio(dv, dy, tol)
-    except NotParallel:
+    fit = _exact_fit(y, v)
+    if _not_tangential(fit, tol).any():
         return False, None
-    return True, EdgeSeq(b)
+    return True, EdgeSeq.on(fit[0], y.segments)
 
 
 def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
@@ -265,13 +275,17 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
     changes sign across that edge.  These labels coincide with the
     flattening node labels of a source spatial polygon under duality.
     """
-    ok, b = is_exact(y, v, tol)
-    if not ok:
-        raise NotExact("the field is not exact with respect to the polygon")
+    seg = y.segments
+    fit = _exact_fit(y, v)
+    hit = seg.find(_not_tangential(fit, tol))
+    if hit is not None:
+        raise NotExact("the field is not exact with respect to the polygon").at(hit[0])
+    b = fit[0]
     try:
-        return sign_change_nodes(b.values - shift_prev(b.values), tol)
+        flips = seg.sign_flips(b - seg.prev(b), tol)
     except DegenerateSign as exc:
-        raise NotGeneric("a curvature difference has no strict sign") from exc
+        raise NotGeneric("a curvature difference has no strict sign").at(exc.segment) from exc
+    return seg.unstack(seg.nodes_after(flips))
 
 
 def dual_planar_parts(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[NodeSeq, NodeSeq]:
@@ -281,9 +295,12 @@ def dual_planar_parts(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[
     V = (v, 0); the planar slots are returned as node sequences in the
     half-integer frame.
     """
+    seg = D.segments
     Yv, Vv = D.Y.values, D.V.values
-    if np.max(np.abs(Yv[:, 2] - 1.0)) > tol.tol_residual:
-        raise DualityResidual("dual polygon is not a lifted planar polygon")
-    if np.max(np.abs(Vv[:, 2])) > tol.tol_residual * max(1.0, float(np.max(np.abs(Vv)))):
-        raise DualityResidual("dual field is not horizontal")
-    return NodeSeq(Yv[:, :2]), NodeSeq(Vv[:, :2])
+    bad = seg.max(np.abs(Yv[:, 2] - 1.0)) > tol.tol_residual
+    if bad.any():
+        raise DualityResidual("dual polygon is not a lifted planar polygon").at(int(bad.argmax()))
+    bad = seg.max(np.abs(Vv[:, 2])) > tol.tol_residual * np.maximum(1.0, seg.max(np.abs(Vv).max(axis=1)))
+    if bad.any():
+        raise DualityResidual("dual field is not horizontal").at(int(bad.argmax()))
+    return NodeSeq.on(Yv[:, :2], seg), NodeSeq.on(Vv[:, :2], seg)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from centropoly import FramedPolygon, cli, cyclic, duality, fixtures, invariants
+from centropoly import FramedPolygon, cli, cyclic, duality, fixtures, generators, invariants, pedal
 from centropoly.documents import dump_json, framed_to_document
 from centropoly.errors import DualityResidual
 
@@ -388,7 +388,7 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
 
     fit = counted("fit", invariants._tangential_fit)
     pair = counted("dual_pair", duality.dual_pair)
-    for module in (invariants, duality):
+    for module in (invariants, duality, pedal):
         monkeypatch.setattr(module, "_tangential_fit", fit)
     for module in (cli, duality):
         monkeypatch.setattr(module, "dual_pair", pair)
@@ -397,16 +397,21 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         prop.__set_name__(FramedPolygon, name)
         monkeypatch.setattr(FramedPolygon, name, prop)
     monkeypatch.setattr(cyclic._CyclicSeq, "__init__", counted("wrap", cyclic._CyclicSeq.__init__))
-    code, _, _ = run(capsys, "verify", "--instances", "5")
-    assert code == 0
-    # NodeSeq/EdgeSeq are built only where a public function returns one:
-    # the generated instance, its field, two dual pairs, the re-dualized
-    # polygon, the planar parts and the planar curvatures (29 when every
-    # layer re-wrapped its arrays)
-    assert calls.pop("wrap") <= 13 * 5
-    # per instance, the curvature is fitted for (X, U), for its dual, for the
-    # re-dualized polygon of dual_of_dual's self-check and for the planar parts
-    assert calls == {"fit": 4 * 5, "osculating_dets": 5, "delta_values": 5, "dual_pair": 2 * 5}
+    monkeypatch.setattr(generators, "_convex_from_rng", counted("draw", generators._convex_from_rng))
+    assert 50 * 40 <= cli.CHUNK_ROWS  # 50 instances with n <= 40 make one chunk
+    for instances in (5, 50):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "--instances", str(instances), "--n-range", "5..40")
+        assert code == 0
+        assert calls.pop("draw") == instances  # no draw is retried
+        # NodeSeq/EdgeSeq are built per instance only by generation (gamma,
+        # lam and X), and per chunk where the stack is assembled (X, the
+        # field and its segmented copy) or a public function returns one:
+        # two dual pairs, the re-dualized polygon and the planar parts
+        assert calls.pop("wrap") <= 3 * instances + 11
+        # per chunk, the curvature is fitted for (X, U), for its dual, for the
+        # re-dualized polygon of dual_of_dual's self-check and for the planar parts
+        assert calls == {"fit": 4, "osculating_dets": 1, "delta_values": 1, "dual_pair": 2}
 
 
 def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -61,7 +61,7 @@ def test_radial_instance_deterministic_and_generic():
 def test_radial_instance_locally_convex():
     for seed in range(20):
         inst = random_radial_instance(GenConfig(seed=seed, n=5 + (seed % 16)))
-        assert np.all(_alpha_values(inst.X.values) > 0.0)
+        assert np.all(_alpha_values(inst.X.values, inst.X.segments) > 0.0)
 
 
 def test_constant_scale_radial_instance_never_generic():
@@ -112,7 +112,7 @@ def test_perturb_to_generic_fixes_planar_octagon():
     octagon = NodeSeq(np.column_stack([np.cos(angles), np.sin(angles), np.ones(8)]))
     out = perturb_to_generic(octagon, GenConfig(seed=1, n=8, perturb_scale=1e-2))
     assert is_generic(out)
-    assert np.all(_alpha_values(out.values) > 0.0)
+    assert np.all(_alpha_values(out.values, out.segments) > 0.0)
 
 
 def test_planted_instance_has_single_coplanar_quadruple():

@@ -122,3 +122,14 @@ def verify_id(case) -> str:
 def test_verify_golden(flags, args, exit_code, want):
     code, _, digest = run(*flags, "verify", *args)
     assert (code, digest) == (exit_code, want)
+
+
+# a chunk of verify instances holds at most cli.CHUNK_ROWS polygon rows
+CHUNKED = [VERIFY[1], VERIFY[4], VERIFY[5]]
+
+
+@pytest.mark.parametrize("flags, args, exit_code, want", CHUNKED, ids=[verify_id(v) for v in CHUNKED])
+def test_verify_report_does_not_depend_on_chunking(monkeypatch, flags, args, exit_code, want):
+    code, text, _ = run(*flags, "verify", *args)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 1)  # one instance per chunk
+    assert run(*flags, "verify", *args)[:2] == (code, text)
