@@ -279,16 +279,18 @@ def _verify_battery(tol: ToleranceConfig):
         )
 
     def sigma_constant(P, got):
-        # every instance that reaches this check runs all of them, so the
-        # reference of all but the first is the stack's first sign at the latest
-        signs, fits = got["report"].sign_sigma, got["report"].sigma_fit_residual
-        ref = got["sigma_ref"]
-        refs = [ref] + [signs[0] if ref is None else ref] * (len(signs) - 1)
-        results = [
-            (False, float(sign)) if r is not None and sign != r else (fit <= tol.tol_residual, fit)
-            for sign, fit, r in zip(signs, fits, refs)
-        ]
-        return [ok for ok, _ in results], [residual for _, residual in results]
+        ref, oks, residuals = got["sigma_ref"], [], []
+        for sign, fit in zip(got["report"].sign_sigma, got["report"].sigma_fit_residual):
+            if ref is not None and sign != ref:
+                oks.append(False)
+                residuals.append(float(sign))
+            else:
+                oks.append(fit <= tol.tol_residual)
+                residuals.append(fit)
+            # every instance that reaches this check runs them all, so the
+            # first sets the reference when no earlier instance has
+            ref = sign if ref is None else ref
+        return oks, residuals
 
     return (
         flattening_count, flattening_vertex_sets, coplanarity_concurrency, duality_involution,

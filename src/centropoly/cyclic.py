@@ -13,13 +13,14 @@ Discrete derivatives move between the lattices::
 so ``edge_diff(node_diff(g))`` is the second difference g''.
 
 Polygons are small (tens of nodes), so the cost of the primitives here is
-numpy's per-call overhead rather than arithmetic.  Two things follow.  The
-cyclic shifts are two slice concatenations instead of ``np.roll``, and the
-vector products multiply columns instead of calling ``np.cross``; both
-perform the same floating-point operations as the numpy routines they
-replace, so results agree bit for bit.  And a chunk of polygons can be
-evaluated in one pass: ``stack`` joins sequences into one array whose rows
-split into ``Segments``, each its own cycle.
+numpy's per-call overhead rather than arithmetic.  Two things follow.
+First, the cyclic shifts are two slice concatenations instead of
+``np.roll``, and the vector products gather permuted components (on long
+arrays, multiply columns) instead of calling ``np.cross``; both perform
+the same floating-point operations as the numpy routines they replace, so
+results agree bit for bit.  Second, a chunk of polygons is evaluated in one
+pass: ``stack`` joins sequences into one array whose rows split into
+``Segments``, each its own cycle.
 
 Sign predicates use a relative dead-band (``tol_sign`` times the sequence's
 largest magnitude) rather than an absolute epsilon, so every analysis is
@@ -73,10 +74,11 @@ class Segments:
     stack are its numbers on its own, bit for bit.
 
     A function that returns one result per polygon returns, for a stacked
-    sequence, a list with one result per segment (``unstack``).  An error it
-    raises is about the first segment that fails the earliest of its gates,
-    which it names in ``GeometryError.segment``; its message is the one that
-    polygon alone would give.
+    sequence, a list with one result per segment; per-segment maxima of a
+    whole sequence drop the segment axis, so its results are scalars.  An
+    error it raises is about the first segment that fails the earliest of
+    its gates, which it names in ``GeometryError.segment``; its message is
+    the one that polygon alone would give.
     """
 
     __slots__ = ("starts", "lasts", "lengths", "bounds")
@@ -93,36 +95,41 @@ class Segments:
         self.starts = self.lasts - (self.lengths - 1)
         self.bounds = [0, *(self.lasts + 1).tolist()]
 
-    @property
-    def stacked(self) -> bool:
-        return self.starts is not None
-
     def unstack(self, results: list):
         """``results``, one per segment, as returned: the list for a stack, its one entry otherwise."""
         return results if self.starts is not None else results[0]
 
     def next(self, v: np.ndarray) -> np.ndarray:
         """Row k gets v[k+1], wrapping to the first row of its segment."""
-        out = shift_next(v)
+        out = np.concatenate((v[1:], v[:1]))
         if self.starts is not None:
             out[self.lasts] = v[self.starts]
         return out
 
     def prev(self, v: np.ndarray) -> np.ndarray:
         """Row k gets v[k-1], wrapping to the last row of its segment."""
-        out = shift_prev(v)
+        out = np.concatenate((v[-1:], v[:-1]))
         if self.starts is not None:
             out[self.starts] = v[self.lasts]
         return out
 
     def max(self, a: np.ndarray) -> np.ndarray:
-        """The largest entry of each segment, along the first axis (the rows)."""
+        """The largest entry of each segment along the last axis (the rows), which becomes the segment axis.
+
+        A whole sequence has no segment axis: its maxima drop the rows axis.
+        """
         if self.starts is None:
-            return a.max(axis=0, keepdims=True)
-        return np.maximum.reduceat(a, self.starts)
+            return np.maximum.reduce(a, axis=-1)
+        return np.maximum.reduceat(a, self.starts, axis=-1)
+
+    def peak(self, a: np.ndarray) -> np.ndarray:
+        """The largest entry of each segment of an array of vectors, whose rows run along axis -2."""
+        if self.starts is None:
+            return np.maximum.reduce(a, axis=None)
+        return self.max(a.max(axis=-1).reshape(-1, a.shape[-2]).max(axis=0))
 
     def spread(self, x: np.ndarray) -> np.ndarray:
-        """One value per segment repeated over its rows (a whole sequence's one value broadcasts)."""
+        """Per-segment values repeated over the rows (a whole sequence's scalar broadcasts)."""
         return x if self.starts is None else np.repeat(x, self.lengths)
 
     def rows(self, s: int) -> slice:
@@ -183,7 +190,7 @@ class Segments:
     def sums(self, a: np.ndarray) -> np.ndarray:
         """The sum of each segment of a 1-D array, added up as for that segment alone."""
         if self.starts is None:
-            return np.sum(a, keepdims=True)
+            return np.sum(a)
         return np.array([np.sum(a[lo:hi]) for lo, hi in zip(self.bounds, self.bounds[1:])])
 
 
@@ -219,9 +226,10 @@ class _CyclicSeq:
     def on(cls, values, segments: Segments):
         """A sequence of ``values`` whose rows split into ``segments``."""
         seq = cls(values)
-        if segments.stacked and segments.bounds[-1] != seq.n:
-            raise ValueError("segments must cover the rows of the sequence")
-        object.__setattr__(seq, "segments", segments)
+        if segments is not WHOLE:
+            if segments.bounds[-1] != seq.n:
+                raise ValueError("segments must cover the rows of the sequence")
+            object.__setattr__(seq, "segments", segments)
         return seq
 
     def __setattr__(self, name, value):
@@ -271,17 +279,36 @@ def second_diff(g: NodeSeq) -> NodeSeq:
     return edge_diff(node_diff(g))
 
 
+# Component orders for the vector product (1, 2, 0) x (2, 0, 1) and for the
+# first-row cofactors (1, 0, 0) x (2, 2, 1).
+_CYC1 = np.array([1, 2, 0])
+_CYC2 = np.array([2, 0, 1])
+_COF1 = np.array([1, 0, 0])
+_COF2 = np.array([2, 2, 1])
+
+# Up to this many entries per factor (128 3-vectors), det3 and cross3 gather
+# permuted components, which takes the fewest numpy calls; beyond it they
+# multiply columns, because a gather along the last axis copies row by row.
+# Both forms evaluate the same products and differences in the same order.
+_GATHER_SIZE = 384
+
+
 def det3(a, b, c):
     """3x3 determinant with rows a, b, c, by cofactor expansion along a.
 
     Evaluates a0 (b1 c2 - b2 c1) - a1 (b0 c2 - b2 c0) + a2 (b0 c1 - b1 c0)
     in that order.  Broadcasts over leading axes, so (n, 3) arrays give n
-    determinants.  It multiplies columns: gathering permuted components
-    costs a copy per row, which dominates on stacked arrays.
+    determinants.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
+    if max(b.size, c.size) <= _GATHER_SIZE:
+        t = a * (
+            b.take(_COF1, axis=-1) * c.take(_COF2, axis=-1)
+            - b.take(_COF2, axis=-1) * c.take(_COF1, axis=-1)
+        )
+        return t[..., 0] - t[..., 1] + t[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
     return a[..., 0] * (b1 * c2 - b2 * c1) - a[..., 1] * (b0 * c2 - b2 * c0) + a[..., 2] * (b0 * c1 - b1 * c0)
@@ -296,9 +323,14 @@ def cross3(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    if max(a.size, b.size) <= _GATHER_SIZE:
+        return (
+            a.take(_CYC1, axis=-1) * b.take(_CYC2, axis=-1)
+            - a.take(_CYC2, axis=-1) * b.take(_CYC1, axis=-1)
+        )
+    a0, a1, a2 = a[..., 0, None], a[..., 1, None], a[..., 2, None]
+    b0, b1, b2 = b[..., 0, None], b[..., 1, None], b[..., 2, None]
+    return np.concatenate((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:

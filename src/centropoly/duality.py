@@ -93,8 +93,6 @@ _RELATION_NAMES = (
 # Required value of (Y, V) dotted with (X', U, X, U+, X+); all are
 # nonnegative, so they double as their own magnitudes in the bound.
 _RELATION_WANT = np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]])[:, :, None]
-# The far-node relations, U+ and X+, in the order above.
-_FAR = np.arange(5) >= 3
 
 
 def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
@@ -115,18 +113,16 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
     partners = np.array((e, u, r, P.field_next, r_next))
     got = np.einsum("dij,pij->dpi", duals, partners)
     norms = row_norms(np.array((r, u, Yv, Vv)))
-    top = seg.spread(seg.max(norms[0]) + seg.max(norms[1]))
-    bound = tol.tol_residual * (norms[2:, None, :] * top + _RELATION_WANT)
-    # per segment (rows), for (Y, V) and each partner
-    excess = seg.max(np.moveaxis(np.abs(got - _RELATION_WANT) - bound, -1, 0))
+    tops = seg.max(norms[:2])
+    bound = tol.tol_residual * (norms[2:, None, :] * seg.spread(tops[0] + tops[1]) + _RELATION_WANT)
+    # per (Y, V), partner and segment
+    excess = seg.max(np.abs(got - _RELATION_WANT) - bound).reshape(2, 5, -1)
     # the far-node relations are checked where U is parallel
-    unchecked = seg.max(_not_tangential(P.curvature_fit, tol))[:, None, None] & _FAR
-    excess = np.where(unchecked, -np.inf, excess)
-    hit = (excess > 0.0).any(axis=(1, 2))
-    if hit.any():
-        s = int(hit.argmax())
+    excess[:, 3:, np.ravel(seg.max(_not_tangential(P.curvature_fit, tol)))] = -np.inf
+    if (excess > 0.0).any():
+        s = int((excess > 0.0).any(axis=(0, 1)).argmax())
         # rows are (Y, V); put the six near-node relations before the far ones
-        worst = np.concatenate((excess[s, :, :3].ravel(), excess[s, :, 3:].ravel()))
+        worst = np.concatenate((excess[:, :3, s].ravel(), excess[:, 3:, s].ravel()))
         j = int(np.argmax(worst > 0.0))
         raise DualityResidual(f"defining relation {_RELATION_NAMES[j]} failed by {worst[j]:.3e}").at(s)
     return DualPair(EdgeSeq.on(Yv, seg), EdgeSeq.on(Vv, seg))
@@ -196,11 +192,11 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     dev_plus, dev_minus = seg.max(np.abs(b_dual - lam)), seg.max(np.abs(b_dual + lam))
     plus = dev_plus <= dev_minus
     return DualReport(
-        beta_dual_residual=seg.unstack(rel(bd, bd_expect).tolist()),
-        alpha_dual_residual=seg.unstack(rel(ad, ad_expect).tolist()),
-        v_parallel_residual=seg.unstack(parallel_resid.tolist()),
-        sign_sigma=seg.unstack(np.where(plus, 1, -1).tolist()),
-        sigma_fit_residual=seg.unstack((np.where(plus, dev_plus, dev_minus) / lam_scale).tolist()),
+        beta_dual_residual=rel(bd, bd_expect).tolist(),
+        alpha_dual_residual=rel(ad, ad_expect).tolist(),
+        v_parallel_residual=parallel_resid.tolist(),
+        sign_sigma=np.where(plus, 1, -1).tolist(),
+        sigma_fit_residual=(np.where(plus, dev_plus, dev_minus) / lam_scale).tolist(),
     )
 
 
@@ -219,12 +215,12 @@ def dual_of_dual(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> FramedPolyg
     P = FramedPolygon(NodeSeq.on(Xv, seg), NodeSeq.on(Uv, seg))
     back = dual_pair(P, tol)
     pair = np.array((Yv, Vv))
-    scale = seg.max(np.abs(pair).max(axis=(0, 2)))
-    err = seg.max(np.abs(np.array((back.Y.values, back.V.values)) - pair).max(axis=(0, 2)))
+    scale = seg.peak(np.abs(pair))
+    err = seg.peak(np.abs(np.array((back.Y.values, back.V.values)) - pair))
     bad = err > tol.tol_residual * scale
     if bad.any():
         s = int(bad.argmax())
-        raise DualityResidual(f"dual of the reconstructed pair deviates by {err[s]:.3e}").at(s)
+        raise DualityResidual(f"dual of the reconstructed pair deviates by {np.ravel(err)[s]:.3e}").at(s)
     return P
 
 
@@ -236,10 +232,10 @@ def involution_error(P: FramedPolygon, back: FramedPolygon) -> float:
     """
     seg = P.segments
     err_x, err_u = (
-        seg.max(np.abs(got - want).max(axis=1)) / np.maximum(1.0, seg.max(np.abs(want).max(axis=1)))
+        seg.peak(np.abs(got - want)) / np.maximum(1.0, seg.peak(np.abs(want)))
         for got, want in ((back.X.values, P.X.values), (back.U.values, P.U.values))
     )
-    return seg.unstack(np.maximum(err_x, err_u).tolist())
+    return np.maximum(err_x, err_u).tolist()
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,9 @@ class FramedPolygon:
     Construction validates alpha(i) > 0 and beta(i+1/2) > 0.  Input whose
     alpha is negative at every node is accepted and silently reoriented by
     reversing the node order; mixed signs are rejected.  X may be a stack of
-    polygons (``cyclic.stack``), and U then takes its segments; each segment
-    is validated, and reoriented, on its own, and an error names the first
-    failing segment.
+    polygons (``cyclic.stack``); the polygon's ``segments`` are then X's,
+    and U takes them too.  Each segment is validated, and reoriented, on its
+    own, and an error names the first failing segment.
 
     X is taken about the origin (0, 0, 0); a document with another origin
     has it subtracted when it is read.  The arrays every invariant starts
@@ -123,7 +123,7 @@ class FramedPolygon:
     on a tolerance: every verdict is taken per call from these arrays.
     """
 
-    __slots__ = ("X", "U", "__dict__")
+    __slots__ = ("X", "U", "segments", "__dict__")
 
     def __init__(self, X: NodeSeq, U: NodeSeq):
         if not isinstance(X, NodeSeq) or not isinstance(U, NodeSeq):
@@ -155,6 +155,7 @@ class FramedPolygon:
                 ).at(s)
         self.X = X
         self.U = U
+        self.segments = seg
         self.nodes_next = r_next = seg.next(r)
         self.alpha_values = a
         self.beta_values = b = det3(r, r_next, U.values)
@@ -165,10 +166,6 @@ class FramedPolygon:
     @property
     def n(self) -> int:
         return self.X.n
-
-    @property
-    def segments(self) -> Segments:
-        return self.X.segments
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
@@ -285,7 +282,7 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
             | seg.max(signs == 0)
         )
         lam_nodes = seg.nodes_after(seg.flips(signs))
-        for s, (skipped, want, got) in enumerate(zip(skip.tolist(), nodes, lam_nodes)):
+        for s, (skipped, want, got) in enumerate(zip(np.ravel(skip).tolist(), nodes, lam_nodes)):
             if not skipped and got != want:
                 raise IdentityCheckFailed(
                     f"flattening sets disagree: Delta {want} vs lambda' {got}"
@@ -369,7 +366,7 @@ def delta_identity_residual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     lam = _lambda_values(P, tol)
     rhs = (seg.next(lam) - lam) * P.alpha_values * seg.next(P.alpha_values)
     scale = np.maximum(np.maximum(seg.max(np.abs(lhs)), seg.max(np.abs(rhs))), 1.0)
-    return seg.unstack((seg.max(np.abs(lhs - rhs)) / scale).tolist())
+    return (seg.max(np.abs(lhs - rhs)) / scale).tolist()
 
 
 def is_equal_volume(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -392,5 +389,5 @@ def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
     """
     if d <= 0.0:
         raise NonTransversal("reframing needs a positive coefficient on U")
-    U = NodeSeq.on(c * P.X.values + d * P.U.values, P.segments)
+    U = NodeSeq(c * P.X.values + d * P.U.values)
     return FramedPolygon(P.X, U)

@@ -250,7 +250,7 @@ def is_convex(poly: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     left = ~seg.max(signs != 1)
     angles = np.arctan2(turns, np.einsum("ij,ij->i", prev, e))
     winds_once = np.abs(seg.sums(angles) - 2.0 * np.pi) <= TURNING_TOL
-    return seg.unstack((left & winds_once).tolist())
+    return (left & winds_once).tolist()
 
 
 def _exact_fit(y: NodeSeq, v: NodeSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,7 +300,7 @@ def dual_planar_parts(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[
     bad = seg.max(np.abs(Yv[:, 2] - 1.0)) > tol.tol_residual
     if bad.any():
         raise DualityResidual("dual polygon is not a lifted planar polygon").at(int(bad.argmax()))
-    bad = seg.max(np.abs(Vv[:, 2])) > tol.tol_residual * np.maximum(1.0, seg.max(np.abs(Vv).max(axis=1)))
+    bad = seg.max(np.abs(Vv[:, 2])) > tol.tol_residual * np.maximum(1.0, seg.peak(np.abs(Vv)))
     if bad.any():
         raise DualityResidual("dual field is not horizontal").at(int(bad.argmax()))
     return NodeSeq.on(Yv[:, :2], seg), NodeSeq.on(Vv[:, :2], seg)

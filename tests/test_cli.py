@@ -105,6 +105,18 @@ def test_analyze_rejects_an_integer_node_out_of_float_range(docs, tmp_path, caps
     assert "ValidationError" in err and "nodes" in err
 
 
+@pytest.mark.parametrize("key, field", [("square", "nodes"), ("square", "field"), ("half", "x"), ("half", "u")])
+def test_documents_reject_a_boolean_entry_by_name(key, field, docs, tmp_path, capsys):
+    doc = json.loads(Path(docs[key]).read_text())
+    doc[field][0][0] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze" if key == "square" else "pedal", str(path))
+    assert code == 2
+    assert out == ""
+    assert "ValidationError" in err and field in err
+
+
 def test_dual_fixture_and_roundtrip(docs, capsys):
     code, out, _ = run(capsys, "dual", docs["square"], "--roundtrip")
     assert code == 0

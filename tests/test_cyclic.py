@@ -112,6 +112,20 @@ def test_det3_equals_cross_dot_on_random_triples():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("rows", [4, 64, 128, 129, 2000])
+def test_det3_and_cross3_agree_bit_for_bit_with_their_formulas_at_any_length(rows):
+    def expansion(a, b, c):
+        b0, b1, b2, c0, c1, c2 = b[..., 0], b[..., 1], b[..., 2], c[..., 0], c[..., 1], c[..., 2]
+        return a[..., 0] * (b1 * c2 - b2 * c1) - a[..., 1] * (b0 * c2 - b2 * c0) + a[..., 2] * (b0 * c1 - b1 * c0)
+
+    rng = np.random.default_rng(rows)
+    a, b, c = rng.standard_normal((3, 2, rows, 3)) * np.exp(rng.uniform(-20.0, 20.0, (3, 2, rows, 1)))
+    assert np.array_equal(cross3(a, b), np.cross(a, b))
+    assert np.array_equal(cross3(a, b[0]), np.cross(a, b[0]))
+    assert np.array_equal(det3(a, b, c), expansion(a, b, c))
+    assert np.array_equal(det3(a, b[0], c[0]), expansion(a, b[0], c[0]))
+
+
 def test_sign_of_dead_band():
     tol = ToleranceConfig(tol_sign=1e-9)
     assert strict_signs([5.0, 0.0, -1e-12, -1e-6], tol).tolist() == [1, 0, 0, -1]
