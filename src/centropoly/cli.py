@@ -358,28 +358,33 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
             else:
                 live.append(i)
         # An instance whose check raises has that failure recorded and leaves
-        # the stack; the stack of the rest runs the battery again, recording
-        # only the checks not yet recorded for it.
-        recorded = 0
-        while live:
+        # the stack.  The instances before it and those after it then run as
+        # two stacks, in that order, each recording only the checks not yet
+        # recorded for it.
+        todo = [(live, 0)]
+        while todo:
+            live, recorded = todo.pop()
+            if not live:
+                continue
             X = stack([chunk[i][1] for i in live])
             try:
                 P = FramedPolygon(X, vertical_field(X.n))
             except GeometryError as exc:  # the polygon of one instance is not valid
-                i = live.pop(exc.segment)
-                found.append((i, -1, _failure(chunk[i][0], "generate", exc)))
+                s = exc.segment
+                found.append((live[s], -1, _failure(chunk[live[s]][0], "generate", exc)))
+                todo += [(live[s + 1:], recorded), (live[:s], recorded)]
                 continue
             got = {"sigma_ref": sigma_ref}
             for c, check in enumerate(battery):
                 try:
                     oks, residuals = check(P, got)
                 except GeometryError as exc:  # the instance's remaining checks do not run
-                    i = live.pop(exc.segment)
-                    found.append((i, c, _failure(chunk[i][0], check.__name__, exc)))
+                    s = exc.segment
+                    found.append((live[s], c, _failure(chunk[live[s]][0], check.__name__, exc)))
+                    todo += [(live[s + 1:], c), (live[:s], c)]
                     break
                 if c < recorded:
                     continue
-                recorded = c + 1
                 for i, ok, residual in zip(live, oks, residuals):
                     if ok:
                         passes += 1
@@ -390,7 +395,6 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
                     histogram[len(flats)] = histogram.get(len(flats), 0) + 1
                 if sigma_ref is None:
                     sigma_ref = got["report"].sign_sigma[0]
-                break
         found.sort(key=lambda f: f[:2])
         failures += [f for _, _, f in found]
     report = {

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,18 +42,15 @@ class PolygonDocument:
 
 
 def _rows(obj, name: str, width: int) -> np.ndarray:
-    """The rows of a document array: a non-empty list of ``width``-element lists of JSON numbers, not booleans."""
-    if not (
-        isinstance(obj, list)
-        and obj
-        and all(isinstance(row, list) and len(row) == width for row in obj)
-        and all(type(c) in (int, float) for row in obj for c in row)
-    ):
-        raise ValidationError(f"{name} must be a list of {width}-element arrays of numbers")
     try:
-        arr = np.array(obj, dtype=float)
-    except OverflowError as exc:
-        raise ValidationError(f"{name} entries must be finite") from exc
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers") from exc
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValidationError(f"{name} must be a list of {width}-element arrays")
+    # numpy reads true as 1.0 and "1" as 1.0; a JSON number parses as an int or a float
+    if not set(map(type, chain.from_iterable(obj))) <= {int, float}:
+        raise ValidationError(f"{name} entries must be JSON numbers, not booleans or strings")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} entries must be finite")
     return arr

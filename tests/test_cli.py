@@ -105,10 +105,11 @@ def test_analyze_rejects_an_integer_node_out_of_float_range(docs, tmp_path, caps
     assert "ValidationError" in err and "nodes" in err
 
 
+@pytest.mark.parametrize("entry", [True, "1"], ids=["bool", "string"])
 @pytest.mark.parametrize("key, field", [("square", "nodes"), ("square", "field"), ("half", "x"), ("half", "u")])
-def test_documents_reject_a_boolean_entry_by_name(key, field, docs, tmp_path, capsys):
+def test_documents_reject_an_entry_that_is_not_a_json_number_by_name(key, field, entry, docs, tmp_path, capsys):
     doc = json.loads(Path(docs[key]).read_text())
-    doc[field][0][0] = True
+    doc[field][0][0] = entry
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "analyze" if key == "square" else "pedal", str(path))
