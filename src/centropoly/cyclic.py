@@ -135,6 +135,13 @@ class Segments:
     def rows(self, s: int) -> slice:
         return slice(None) if self.starts is None else slice(self.bounds[s], self.bounds[s + 1])
 
+    def first(self, bad) -> int | None:
+        """The first segment for which a per-segment verdict is true, or None."""
+        if self.starts is None:
+            return 0 if bad else None
+        s = int(bad.argmax())
+        return s if bad[s] else None
+
     def find(self, mask: np.ndarray) -> tuple[int, int, int] | None:
         """(segment, slot within it, row) of the first true row of ``mask``, or None."""
         k = int(mask.argmax())
@@ -303,7 +310,7 @@ def det3(a, b, c):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    if max(b.size, c.size) <= _GATHER_SIZE:
+    if b.size <= _GATHER_SIZE and c.size <= _GATHER_SIZE:
         t = a * (
             b.take(_COF1, axis=-1) * c.take(_COF2, axis=-1)
             - b.take(_COF2, axis=-1) * c.take(_COF1, axis=-1)
@@ -323,7 +330,7 @@ def cross3(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if max(a.size, b.size) <= _GATHER_SIZE:
+    if a.size <= _GATHER_SIZE and b.size <= _GATHER_SIZE:
         return (
             a.take(_CYC1, axis=-1) * b.take(_CYC2, axis=-1)
             - a.take(_CYC2, axis=-1) * b.take(_CYC1, axis=-1)

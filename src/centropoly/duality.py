@@ -117,10 +117,11 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
     bound = tol.tol_residual * (norms[2:, None, :] * seg.spread(tops[0] + tops[1]) + _RELATION_WANT)
     # per (Y, V), partner and segment
     excess = seg.max(np.abs(got - _RELATION_WANT) - bound).reshape(2, 5, -1)
-    # the far-node relations are checked where U is parallel
-    excess[:, 3:, np.ravel(seg.max(_not_tangential(P.curvature_fit, tol)))] = -np.inf
-    if (excess > 0.0).any():
-        s = int((excess > 0.0).any(axis=(0, 1)).argmax())
+    nonparallel = seg.max(_not_tangential(P.curvature_fit, tol))
+    if seg.first(nonparallel) is not None:  # the far-node relations are checked where U is parallel
+        excess[:, 3:, np.ravel(nonparallel)] = -np.inf
+    s = seg.first((excess > 0.0).any(axis=(0, 1)))
+    if s is not None:
         # rows are (Y, V); put the six near-node relations before the far ones
         worst = np.concatenate((excess[:, :3, s].ravel(), excess[:, 3:, s].ravel()))
         j = int(np.argmax(worst > 0.0))
@@ -217,9 +218,8 @@ def dual_of_dual(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> FramedPolyg
     pair = np.array((Yv, Vv))
     scale = seg.peak(np.abs(pair))
     err = seg.peak(np.abs(np.array((back.Y.values, back.V.values)) - pair))
-    bad = err > tol.tol_residual * scale
-    if bad.any():
-        s = int(bad.argmax())
+    s = seg.first(err > tol.tol_residual * scale)
+    if s is not None:
         raise DualityResidual(f"dual of the reconstructed pair deviates by {np.ravel(err)[s]:.3e}").at(s)
     return P
 

@@ -139,7 +139,7 @@ class FramedPolygon:
         a = _alpha_values(r, seg)
         if not a.min() > 0.0:
             flip = seg.max(a) < 0.0
-            if flip.any():
+            if seg.first(flip) is not None:
                 order = np.arange(len(r))
                 for s in np.flatnonzero(flip):
                     order[seg.rows(s)] = order[seg.rows(s)][::-1]
@@ -225,9 +225,9 @@ def _lambda_misfit(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _lambda_values(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
-    bad = _lambda_misfit(P, tol)
-    if bad.any():
-        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha").at(int(bad.argmax()))
+    s = P.segments.first(_lambda_misfit(P, tol))
+    if s is not None:
+        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha").at(s)
     return P.osculating_dets[1] / P.alpha_values
 
 

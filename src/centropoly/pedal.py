@@ -297,10 +297,10 @@ def dual_planar_parts(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[
     """
     seg = D.segments
     Yv, Vv = D.Y.values, D.V.values
-    bad = seg.max(np.abs(Yv[:, 2] - 1.0)) > tol.tol_residual
-    if bad.any():
-        raise DualityResidual("dual polygon is not a lifted planar polygon").at(int(bad.argmax()))
-    bad = seg.max(np.abs(Vv[:, 2])) > tol.tol_residual * np.maximum(1.0, seg.peak(np.abs(Vv)))
-    if bad.any():
-        raise DualityResidual("dual field is not horizontal").at(int(bad.argmax()))
+    s = seg.first(seg.max(np.abs(Yv[:, 2] - 1.0)) > tol.tol_residual)
+    if s is not None:
+        raise DualityResidual("dual polygon is not a lifted planar polygon").at(s)
+    s = seg.first(seg.max(np.abs(Vv[:, 2])) > tol.tol_residual * np.maximum(1.0, seg.peak(np.abs(Vv))))
+    if s is not None:
+        raise DualityResidual("dual field is not horizontal").at(s)
     return NodeSeq.on(Yv[:, :2], seg), NodeSeq.on(Vv[:, :2], seg)
