@@ -68,10 +68,11 @@ class Segments:
 
     ``stack`` joins sequences into one array whose rows keep their own
     cycles, so a chunk of polygons is evaluated in one pass over all its
-    rows.  The shifts wrap within each segment; maxima, sign scans and
-    verdicts are taken per segment.  Every other operation acts row by row,
-    and a maximum is exact under any grouping, so a polygon's numbers in a
-    stack are its numbers on its own, bit for bit.
+    rows.  The shifts wrap within each segment; maxima, sign scans,
+    verdicts and the one sum (``sums``) are taken per segment.  Every other
+    operation acts row by row, and a maximum is exact under any grouping,
+    so a polygon's numbers in a stack are its numbers on its own, bit for
+    bit.
 
     A function that returns one result per polygon returns, for a stacked
     sequence, a list with one result per segment; per-segment maxima of a
