@@ -4,6 +4,7 @@ A change that keeps every floating-point operation keeps these bytes.  A
 change that alters an output on purpose updates its value here and says why.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from centropoly import cli
+from centropoly import GenConfig, cli, random_radial_instance
+from centropoly.cyclic import DEFAULT_TOL
 from centropoly.documents import dump_json
 
 GENERATE = {
@@ -61,6 +63,10 @@ VERIFY = [
     (("--tol-residual", "1e-14"), ("--instances", "40", "--seed", "3"), 1, "ed50aa17570002ab"),
     (("--tol-sign", "3e-2", "--tol-residual", "1e-14"), ("--instances", "60", "--seed", "4"), 4,
      "45affdd5d67c7ad7"),
+    # instance 12 (n = 5) closes only at its second draw of edge lengths
+    ((), ("--seed", "128"), 0, "98aa1549a6eac9ce"),
+    # small n makes closure redraws common: 6 of these 300 instances have one
+    ((), ("--instances", "300", "--n-range", "4..6", "--seed", "2"), 0, "4f759063b0962991"),
 ]
 
 
@@ -125,7 +131,7 @@ def test_verify_golden(flags, args, exit_code, want):
 
 
 # a chunk of verify instances holds at most cli.CHUNK_ROWS polygon rows
-CHUNKED = [VERIFY[1], VERIFY[4], VERIFY[5]]
+CHUNKED = [VERIFY[1], VERIFY[4], VERIFY[5], VERIFY[7]]
 
 
 @pytest.mark.parametrize("flags, args, exit_code, want", CHUNKED, ids=[verify_id(v) for v in CHUNKED])
@@ -133,3 +139,30 @@ def test_verify_report_does_not_depend_on_chunking(monkeypatch, flags, args, exi
     code, text, _ = run(*flags, "verify", *args)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 1)  # one instance per chunk
     assert run(*flags, "verify", *args)[:2] == (code, text)
+
+
+# (seed, instances, n range) -> sha256 prefix of the nodes of verify's instances
+INSTANCE_BITS = {
+    (128, 100, (5, 50)): "caafeea24d8e69bd",
+    (183, 100, (5, 50)): "9618ac4d406a5c37",
+    (2, 300, (4, 6)): "31cda9c4c2f31180",
+}
+
+
+def verify_args(seed: int, instances: int) -> argparse.Namespace:
+    return argparse.Namespace(seed=seed, instances=instances)
+
+
+@pytest.mark.parametrize("seed, instances, n_range", INSTANCE_BITS, ids=[str(k) for k in INSTANCE_BITS])
+def test_verify_instances_keep_their_bits(seed, instances, n_range):
+    lo, hi = n_range
+    one_by_one = hashlib.sha256()
+    for i in range(instances):
+        n = int(np.random.default_rng([seed, i, 0]).integers(lo, hi + 1))
+        one_by_one.update(random_radial_instance(GenConfig(seed=[seed, i, 1], n=n)).X.values.tobytes())
+    chunked = hashlib.sha256()
+    for chunk in cli._verify_chunks(verify_args(seed, instances), lo, hi, (0.5, 2.0), DEFAULT_TOL):
+        for _, X in chunk:
+            chunked.update(X.values.tobytes())
+    want = INSTANCE_BITS[seed, instances, n_range]
+    assert (one_by_one.hexdigest()[:16], chunked.hexdigest()[:16]) == (want, want)
