@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cyclic import NodeSeq, ToleranceConfig, stack
+from .cyclic import NodeSeq, Segments, ToleranceConfig
 from .documents import (
     document_nodes,
     document_to_framed,
@@ -44,6 +44,7 @@ from .generators import (
     random_framed_polygon,
     random_planar_pair,
     random_radial_instance,
+    random_radial_instances,
 )
 from .invariants import (
     FramedPolygon,
@@ -306,28 +307,32 @@ CHUNK_ROWS = 2048
 
 
 def _verify_chunks(args, lo: int, hi: int, lam_range: tuple, tol: ToleranceConfig):
-    """The instances of a verify run, generated one by one, in chunks.
+    """The instances of a verify run, in chunks, each chunk's instances generated together.
 
-    A chunk is a list of (where, X): the instance's seed and n, and its
-    nodes, or the GeometryError that generating them raised.
+    A chunk is a list of (where, X): the instance's seed and n, and the
+    rows of its nodes, or the GeometryError that generating them raised.
+    A chunk holds at most ``CHUNK_ROWS`` rows, counting those of failed
+    instances too.
     """
-    chunk, rows = [], 0
+    wheres, cfgs, rows = [], [], 0
     for index in range(args.instances):
         seed = [args.seed, index]
         n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
-        if chunk and rows + n > CHUNK_ROWS:
-            yield chunk
-            chunk, rows = [], 0
-        cfg = GenConfig(seed=seed + [1], n=n, lambda_range=lam_range)
-        try:
-            X = random_radial_instance(cfg, tol).X
-        except GeometryError as exc:  # no instance, so none of its checks run
-            X = exc
-        else:
-            rows += n
-        chunk.append(({"seed": seed, "n": n}, X))
-    if chunk:
-        yield chunk
+        if cfgs and rows + n > CHUNK_ROWS:
+            yield _generated(wheres, cfgs, tol)
+            wheres, cfgs, rows = [], [], 0
+        wheres.append({"seed": seed, "n": n})
+        cfgs.append(GenConfig(seed=seed + [1], n=n, lambda_range=lam_range))
+        rows += n
+    if cfgs:
+        yield _generated(wheres, cfgs, tol)
+
+
+def _generated(wheres: list[dict], cfgs: list[GenConfig], tol: ToleranceConfig) -> list[tuple]:
+    X, errors = random_radial_instances(cfgs, tol)
+    bounds = X.segments.bounds if X is not None else []
+    parts = (X.values[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    return [(where, next(parts) if error is None else error) for where, error in zip(wheres, errors)]
 
 
 def _failure(where: dict, check: str, outcome) -> dict:
@@ -366,7 +371,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
             live, recorded = todo.pop()
             if not live:
                 continue
-            X = stack([chunk[i][1] for i in live])
+            X = NodeSeq.on(np.concatenate([chunk[i][1] for i in live]), Segments([chunk[i][0]["n"] for i in live]))
             try:
                 P = FramedPolygon(X, vertical_field(X.n))
             except GeometryError as exc:  # the polygon of one instance is not valid

@@ -130,8 +130,8 @@ class Segments:
         return self.max(a.max(axis=-1).reshape(-1, a.shape[-2]).max(axis=0))
 
     def spread(self, x: np.ndarray) -> np.ndarray:
-        """Per-segment values repeated over the rows (a whole sequence's scalar broadcasts)."""
-        return x if self.starts is None else np.repeat(x, self.lengths)
+        """Per-segment values (along the first axis) repeated over the rows (a whole sequence's broadcast)."""
+        return x if self.starts is None else np.repeat(x, self.lengths, axis=0)
 
     def rows(self, s: int) -> slice:
         return slice(None) if self.starts is None else slice(self.bounds[s], self.bounds[s + 1])
@@ -198,8 +198,8 @@ class Segments:
     def sums(self, a: np.ndarray) -> np.ndarray:
         """The sum of each segment of a 1-D array, added up as for that segment alone."""
         if self.starts is None:
-            return np.sum(a)
-        return np.array([np.sum(a[lo:hi]) for lo, hi in zip(self.bounds, self.bounds[1:])])
+            return np.add.reduce(a)
+        return np.array([np.add.reduce(a[lo:hi]) for lo, hi in zip(self.bounds, self.bounds[1:])])
 
 
 WHOLE = Segments(None)
@@ -211,7 +211,7 @@ def _as_cyclic_values(values) -> np.ndarray:
         raise ValueError("slots must hold scalars or flat vectors")
     if arr.shape[0] < 3:
         raise ValueError("cyclic sequences need period n >= 3")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError("sequence entries must all be finite")
     arr.setflags(write=False)
     return arr

@@ -22,7 +22,9 @@ import numpy as np
 
 from .cyclic import (
     DEFAULT_TOL,
+    WHOLE,
     NodeSeq,
+    Segments,
     ToleranceConfig,
     area2,
     cross3,
@@ -34,7 +36,7 @@ from .cyclic import (
 )
 from .errors import DegenerateSign, GenerationFailed, GeometryError
 from .invariants import FramedPolygon, _alpha_values, delta, is_equal_volume, is_generic
-from .pedal import E3, PlanarPair, cylindrical_pedal, is_convex, vertical_field
+from .pedal import E3, PlanarPair, _convexity, cylindrical_pedal, is_convex, vertical_field
 
 
 @dataclass(frozen=True)
@@ -71,43 +73,166 @@ class RadialInstance:
     X: NodeSeq
 
 
-def _origin_interior(g: np.ndarray) -> bool:
-    return bool(np.all(area2(g, shift_next(g)) > 0.0))
+_COLLAPSED = "edge lengths kept collapsing under the closure correction"
 
 
-def _area_centroid(g: np.ndarray) -> np.ndarray:
-    g_next = shift_next(g)
+def _origin_interior(g: np.ndarray, seg: Segments) -> np.ndarray:
+    """Per segment, whether (0, 0) is strictly left of every edge."""
+    return ~seg.max(area2(g, seg.next(g)) <= 0.0)
+
+
+def _area_centroid(g: np.ndarray, seg: Segments) -> np.ndarray:
+    g_next = seg.next(g)
     x, y = g[:, 0], g[:, 1]
     xn, yn = g_next[:, 0], g_next[:, 1]
     w = x * yn - xn * y
-    area = 0.5 * w.sum()
-    cx = ((x + xn) * w).sum() / (6.0 * area)
-    cy = ((y + yn) * w).sum() / (6.0 * area)
-    return np.array([cx, cy])
+    six_area = 6.0 * (0.5 * seg.sums(w))
+    moments = (g + g_next) * w[:, None]
+    return np.array([seg.sums(moments[:, 0]) / six_area, seg.sums(moments[:, 1]) / six_area]).T
 
 
-def _convex_from_rng(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One convex-polygon draw: jittered edge directions, closure-projected lengths.
+def _layout(ns: list[int]) -> tuple:
+    """How polygons of ``ns`` nodes stack: their segments, each row's (segment, slot) pair, its slot and its n.
+
+    One polygon is ``WHOLE``: no pair, its slots ``arange(n)`` and n itself.
+    """
+    if len(ns) == 1:
+        return WHOLE, None, np.arange(ns[0]), ns[0]
+    seg = Segments(ns)
+    slot = np.arange(seg.bounds[-1]) - seg.spread(seg.starts)
+    return seg, (np.repeat(np.arange(len(ns)), seg.lengths), slot), slot, seg.spread(seg.lengths)
+
+
+def _padded(a: np.ndarray, at) -> np.ndarray:
+    """The rows of each segment along axis 1, zero past its end; a whole sequence's rows get a leading axis of one."""
+    if at is None:
+        return a[None]
+    out = np.zeros((at[0][-1] + 1, int(at[1].max()) + 1, *a.shape[1:]))
+    out[at] = a
+    return out
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _closure_draw(rngs: list, ns: list[int], layout: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One draw of edge directions and closure-corrected lengths per stream, stacked; per stream, whether they fell short."""
+    seg, at, slot, n = layout
+    jitter, lengths = [], []
+    for rng, k in zip(rngs, ns):
+        jitter.append(rng.uniform(-0.45, 0.45, k))
+        lengths.append(rng.uniform(0.7, 1.3, k))
+    theta = 2.0 * np.pi * (slot + _joined(jitter)) / n
+    dirs = np.empty((len(theta), 2))
+    dirs[:, 0], dirs[:, 1] = np.cos(theta), np.sin(theta)
+    # least-norm correction so the edge vectors sum to zero; the products
+    # of a polygon's directions with a vector are taken for it alone
+    if at is None:
+        D = dirs.T
+        lengths = lengths[0] - D.T @ np.linalg.solve(D @ D.T, D @ lengths[0])
+    else:
+        cuts = [dirs[seg.rows(s)] for s in range(len(ns))]
+        D = _padded(dirs, at)
+        rhs = np.array([d.T @ x for d, x in zip(cuts, lengths)])
+        sol = np.linalg.solve(D.transpose(0, 2, 1) @ D, rhs[..., None])
+        lengths = np.concatenate([x - d @ y[:, 0] for d, x, y in zip(cuts, lengths, sol)])
+    return dirs, lengths, seg.max(lengths < 0.2)
+
+
+def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segments | None, list[bool]]:
+    """One convex-polygon draw from each stream: jittered edge directions, closure-projected lengths.
 
     Direction gaps stay within [0.1, 1.9] of the regular spacing and edge
     lengths within [0.7, 1.3] before the closure correction, which keeps
-    every consecutive node triple well conditioned at any n.
+    every consecutive node triple well conditioned at any n.  A stream
+    whose corrected lengths fall below 0.2 draws both again, up to 1000
+    times.
+
+    The streams' polygons are computed together, stacked in stream order;
+    one stream is the ``WHOLE`` case.  Each step acts row by row, or on one
+    polygon's rows as for that polygon alone, so every polygon has the bits
+    that its stream gives it on its own.  Returns the stacked polygons of
+    the streams that closed (None if none did), their segments, and per
+    stream whether it closed.
     """
-    for _ in range(1000):
-        jitter = rng.uniform(-0.45, 0.45, n)
-        theta = 2.0 * np.pi * (np.arange(n) + jitter) / n
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        lengths = rng.uniform(0.7, 1.3, n)
-        # least-norm correction so the edge vectors sum to zero
-        D = dirs.T
-        lengths = lengths - D.T @ np.linalg.solve(D @ D.T, D @ lengths)
-        if lengths.min() < 0.2:
-            continue
-        pts = np.cumsum(lengths[:, None] * dirs, axis=0)
-        pts = np.concatenate((np.zeros((1, 2)), pts[:-1]))
-        pts = pts - _area_centroid(pts)
-        return pts / row_norms(pts).mean()
-    raise GenerationFailed("edge lengths kept collapsing under the closure correction")
+    layout = _layout(ns)
+    dirs, lengths, short = _closure_draw(rngs, ns, layout)
+    closed = (~short).reshape(-1).tolist()
+    redraw = [i for i, ok in enumerate(closed) if not ok]
+    for _ in range(999):
+        if not redraw:
+            break
+        sub = [ns[i] for i in redraw]
+        d, l, short = _closure_draw([rngs[i] for i in redraw], sub, _layout(sub))
+        ends = np.cumsum(ns)
+        rows = np.concatenate([np.arange(ends[i] - ns[i], ends[i]) for i in redraw])
+        dirs[rows], lengths[rows] = d, l
+        for i, bad in zip(redraw, short.reshape(-1).tolist()):
+            closed[i] = not bad
+        redraw = [i for i in redraw if not closed[i]]
+    if not all(closed):
+        if not any(closed):
+            return None, None, closed
+        keep = np.repeat(closed, ns)
+        dirs, lengths, ns = dirs[keep], lengths[keep], [n for n, ok in zip(ns, closed) if ok]
+        layout = _layout(ns)
+    seg, at, _, _ = layout
+    steps = _padded(lengths[:, None] * dirs, at)
+    pts = np.zeros(steps.shape)
+    steps[:, :-1].cumsum(axis=1, out=pts[:, 1:])
+    pts = pts[0] if at is None else pts[at]
+    pts = pts - seg.spread(_area_centroid(pts, seg))
+    radius = seg.sums(row_norms(pts)) / (ns[0] if at is None else seg.lengths)  # mean vertex radius
+    return pts / np.reshape(seg.spread(radius), (-1, 1)), seg, closed
+
+
+def _convex_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The draw of one stream, or GenerationFailed when it does not close."""
+    pts, _, (closed,) = _convex_from_rng([rng], [n])
+    if not closed:
+        raise GenerationFailed(_COLLAPSED)
+    return pts
+
+
+def _radial_rounds(cfgs: list[GenConfig], tol: ToleranceConfig) -> tuple[list, list]:
+    """The retry rounds of ``random_radial_instance``, for every config together.
+
+    Each config draws from its own stream, in the order one instance draws.
+    A round draws a polygon for every config still without an instance,
+    stacked, and runs each acceptance test once on the stack; a config
+    whose draw is rejected draws again in the next round, up to its
+    ``max_retries`` rounds.  Returns per config the GenerationFailed it
+    raised or None, and its instance or None: the round's gamma, lam and X
+    with the slice of its rows (all of them when there is one config).
+    """
+    rngs = [cfg.rng() for cfg in cfgs]
+    logs = {r: (np.log(r[0]), np.log(r[1])) for r in {cfg.lambda_range for cfg in cfgs}}
+    found: list = [None] * len(cfgs)
+    errors: list = [None] * len(cfgs)
+    todo = list(range(len(cfgs)))
+    tries = 0
+    while todo:
+        tries += 1
+        gamma, seg, closed = _convex_from_rng([rngs[i] for i in todo], [cfgs[i].n for i in todo])
+        for i, ok in zip(todo, closed):
+            if not ok:
+                errors[i] = GenerationFailed(_COLLAPSED)
+        drawn, todo = [i for i, ok in zip(todo, closed) if ok], []
+        if not drawn:
+            break
+        lam = np.exp(np.concatenate([rngs[i].uniform(*logs[cfgs[i].lambda_range], cfgs[i].n) for i in drawn]))
+        g = NodeSeq.on(gamma, seg)
+        X = NodeSeq.on(np.concatenate((gamma * lam[:, None], lam[:, None]), axis=1), seg)
+        accepted = _origin_interior(gamma, seg) & _convexity(g, tol)[1] & np.asarray(is_generic(X, tol))
+        for s, (i, ok) in enumerate(zip(drawn, accepted.reshape(-1).tolist())):
+            if ok:
+                found[i] = (g, lam, X, seg.rows(s))
+            elif tries < cfgs[i].max_retries:
+                todo.append(i)
+            else:
+                errors[i] = GenerationFailed(f"no generic radial instance after {cfgs[i].max_retries} tries")
+    return found, errors
 
 
 def random_radial_instance(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> RadialInstance:
@@ -116,22 +241,29 @@ def random_radial_instance(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -
     Radial scales are log-uniform on lambda_range.  A draw is rejected unless
     gamma is convex with (0, 0) strictly inside and every torsion volume has
     a strict sign.  Local convexity about the origin is then automatic for
-    positive scales.
+    positive scales.  This is the one-config case of ``random_radial_instances``.
     """
-    rng = cfg.rng()
-    lo, hi = cfg.lambda_range
-    for _ in range(cfg.max_retries):
-        gamma = NodeSeq(_convex_from_rng(rng, cfg.n))
-        lam = np.exp(rng.uniform(np.log(lo), np.log(hi), cfg.n))
-        try:
-            if not (_origin_interior(gamma.values) and is_convex(gamma, tol)):
-                continue
-        except DegenerateSign:
-            continue
-        X = NodeSeq(np.column_stack([gamma.values * lam[:, None], lam]))
-        if is_generic(X, tol):
-            return RadialInstance(gamma, NodeSeq(lam), X)
-    raise GenerationFailed(f"no generic radial instance after {cfg.max_retries} tries")
+    (found,), (error,) = _radial_rounds([cfg], tol)
+    if error is not None:
+        raise error
+    gamma, lam, X, _ = found
+    return RadialInstance(gamma, NodeSeq(lam), X)
+
+
+def random_radial_instances(
+    cfgs: list[GenConfig], tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[NodeSeq | None, list[GeometryError | None]]:
+    """The X of ``random_radial_instance`` for each of a chunk of configs, generated together.
+
+    Returns the instances' X, bit for bit as generated one at a time,
+    stacked in config order with a segment each (None when no config gave
+    one); and per config the GenerationFailed that it raised, or None.
+    """
+    found, errors = _radial_rounds(cfgs, tol)
+    rows = [X.values[r] for _, _, X, r in filter(None, found)]
+    if not rows:
+        return None, errors
+    return NodeSeq.on(np.concatenate(rows), Segments([len(x) for x in rows])), errors
 
 
 def _tangent_kernel(edges: np.ndarray) -> np.ndarray:
@@ -184,7 +316,7 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
     rng = cfg.rng()
     lo, hi = cfg.lambda_range
     for _ in range(cfg.max_retries):
-        gamma = _convex_from_rng(rng, cfg.n)
+        gamma = _convex_polygon(rng, cfg.n)
         lam = np.exp(rng.uniform(np.log(lo), np.log(hi), cfg.n))
         X = np.concatenate((gamma * lam[:, None], lam[:, None]), axis=1)
         nodes = NodeSeq(X)
@@ -208,7 +340,7 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
     """A convex planar polygon with a random parallel field of non-constant curvature."""
     rng = cfg.rng()
     for _ in range(cfg.max_retries):
-        x = _convex_from_rng(rng, cfg.n)
+        x = _convex_polygon(rng, cfg.n)
         try:
             if not is_convex(NodeSeq(x), tol):
                 continue
@@ -277,7 +409,7 @@ def random_equal_area_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL
     """A random convex polygon rescaled to unit consecutive edge-vector areas."""
     rng = cfg.rng()
     for _ in range(cfg.max_retries):
-        p = _convex_from_rng(rng, cfg.n)
+        p = _convex_polygon(rng, cfg.n)
         mu = _newton_equal_area(p)
         if mu is None:
             continue
@@ -313,7 +445,7 @@ def random_equal_volume_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_T
     """
     rng = cfg.rng()
     for _ in range(cfg.max_retries):
-        p = _convex_from_rng(rng, cfg.n)
+        p = _convex_polygon(rng, cfg.n)
         mu = _newton_equal_area(p)
         if mu is None:
             continue
@@ -360,7 +492,7 @@ def planted_coplanar_instance(
     rng = cfg.rng()
     lo, hi = cfg.lambda_range
     for _ in range(cfg.max_retries):
-        gamma = _convex_from_rng(rng, cfg.n)
+        gamma = _convex_polygon(rng, cfg.n)
         lam = np.exp(rng.uniform(np.log(lo), np.log(hi), cfg.n))
         X = np.column_stack([gamma * lam[:, None], lam])
         if not is_generic(NodeSeq(X), tol):

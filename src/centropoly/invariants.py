@@ -255,8 +255,9 @@ def delta(poly) -> EdgeSeq:
 
 
 def is_generic(poly, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when every Delta has a strict sign under the dead-band (in every segment of a stack)."""
-    return bool((poly.segments.signs(_delta_of(poly), tol) != 0).all())
+    """True when every Delta has a strict sign under the dead-band; a stack gives one verdict per segment."""
+    seg = poly.segments
+    return (~seg.max(seg.signs(_delta_of(poly), tol) == 0)).tolist()
 
 
 def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:

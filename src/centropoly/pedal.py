@@ -229,6 +229,24 @@ def unpedal(Y, E, tol: ToleranceConfig = DEFAULT_TOL) -> PlanarPair:
     return pp
 
 
+def _convexity(poly: NodeSeq, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The dead-banded turn signs, and per segment whether the polygon is convex.
+
+    A segment with a turn of no strict sign (three collinear consecutive
+    nodes) is not convex: its turns are not all strict left turns.
+    """
+    seg = poly.segments
+    v = poly.values
+    e = seg.next(v) - v
+    prev = seg.prev(e)
+    turns = area2(prev, e)
+    signs = seg.signs(turns, tol)
+    left = ~seg.max(signs != 1)
+    angles = np.arctan2(turns, np.einsum("ij,ij->i", prev, e))
+    winds_once = np.abs(seg.sums(angles) - 2.0 * np.pi) <= TURNING_TOL
+    return signs, left & winds_once
+
+
 def is_convex(poly: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Convexity with orientation: strict left turns and total turning 2*pi.
 
@@ -238,19 +256,11 @@ def is_convex(poly: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     sign and raise DegenerateSign.  A stack of polygons gives one verdict
     per segment.
     """
-    seg = poly.segments
-    v = poly.values
-    e = seg.next(v) - v
-    prev = seg.prev(e)
-    turns = area2(prev, e)
-    signs = seg.signs(turns, tol)
-    hit = seg.find(signs == 0)
+    signs, convex = _convexity(poly, tol)
+    hit = poly.segments.find(signs == 0)
     if hit is not None:
         raise DegenerateSign("three consecutive nodes are collinear").at(hit[0])
-    left = ~seg.max(signs != 1)
-    angles = np.arctan2(turns, np.einsum("ij,ij->i", prev, e))
-    winds_once = np.abs(seg.sums(angles) - 2.0 * np.pi) <= TURNING_TOL
-    return (left & winds_once).tolist()
+    return convex.tolist()
 
 
 def _exact_fit(y: NodeSeq, v: NodeSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

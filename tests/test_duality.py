@@ -26,6 +26,7 @@ from centropoly import (
     vertical_field,
 )
 from centropoly import generators
+from centropoly.cyclic import WHOLE
 from centropoly.duality import dual_alpha_values, dual_beta_values
 from centropoly.errors import DualityResidual, GenerationFailed
 
@@ -248,13 +249,15 @@ def test_doubly_wound_radial_polygon_has_two_flattenings(monkeypatch):
 
     # the radial generator rejects this gamma by its convexity test
     verdicts = []
+    convexity = generators._convexity
 
-    def spied_is_convex(poly, tol):
-        verdicts.append(is_convex(poly, tol))
-        return verdicts[-1]
+    def spied_convexity(poly, tol):
+        signs, convex = convexity(poly, tol)
+        verdicts.append(bool(convex))
+        return signs, convex
 
-    monkeypatch.setattr(generators, "_convex_from_rng", lambda rng, n: gamma)
-    monkeypatch.setattr(generators, "is_convex", spied_is_convex)
+    monkeypatch.setattr(generators, "_convex_from_rng", lambda rngs, ns: (gamma, WHOLE, np.ones(1, dtype=bool)))
+    monkeypatch.setattr(generators, "_convexity", spied_convexity)
     with pytest.raises(GenerationFailed):
         random_radial_instance(GenConfig(seed=0, n=n, max_retries=3))
     assert verdicts == [False] * 3

@@ -163,6 +163,6 @@ def test_verify_instances_keep_their_bits(seed, instances, n_range):
     chunked = hashlib.sha256()
     for chunk in cli._verify_chunks(verify_args(seed, instances), lo, hi, (0.5, 2.0), DEFAULT_TOL):
         for _, X in chunk:
-            chunked.update(X.values.tobytes())
+            chunked.update(X.tobytes())
     want = INSTANCE_BITS[seed, instances, n_range]
     assert (one_by_one.hexdigest()[:16], chunked.hexdigest()[:16]) == (want, want)
