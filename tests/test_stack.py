@@ -1,6 +1,7 @@
 """A stack of polygons is evaluated in one pass; each segment gets its polygon's own results, bit for bit."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from centropoly import (
     vertex_edges,
     vertical_field,
 )
+from centropoly import generators
 from centropoly.cyclic import stack
 from centropoly.duality import involution_error
-from centropoly.errors import NotGeneric, NotParallel
+from centropoly.errors import GenerationFailed, NotGeneric, NotParallel
+from centropoly.generators import random_radial_instances
 
 
 def stacked(polys) -> FramedPolygon:
@@ -98,3 +101,51 @@ def test_an_error_about_a_stack_names_its_segment_with_the_message_of_that_polyg
     # dual_pair checks the far-node relations only where the field is parallel
     D = dual_pair(stacked([framed[0], bent]))
     assert np.array_equal(D.Y.values, np.concatenate([dual_pair(framed[0]).Y.values, dual_pair(bent).Y.values]))
+
+
+def chunk_configs(seed, count, lo, hi, lambda_range):
+    """Configs as verify draws them (n from [seed, i, 0], the polygon from [seed, i, 1]), with varied retry bounds."""
+    return [
+        GenConfig(
+            seed=[seed, i, 1],
+            n=int(np.random.default_rng([seed, i, 0]).integers(lo, hi + 1)),
+            lambda_range=lambda_range,
+            max_retries=3 + i % 4,
+        )
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("lambda_range", [(0.5, 2.0), (1.0, 1.0)])
+@pytest.mark.parametrize("seed, count, lo, hi", [(6, 60, 4, 60), (7, 12, 40, 300)])
+def test_a_chunk_generated_together_gives_each_config_its_own_instance(monkeypatch, seed, count, lo, hi, lambda_range):
+    cfgs = chunk_configs(seed, count, lo, hi, lambda_range)
+    alone = []
+    for cfg in cfgs:
+        try:
+            alone.append(random_radial_instance(cfg).X.values)
+        except GenerationFailed as exc:
+            alone.append(exc)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_convex_from_rng", "_closure_draw"):
+        monkeypatch.setattr(generators, name, counted(name, getattr(generators, name)))
+    X, errors = random_radial_instances(cfgs)
+    rows = iter(X.segments.rows(s) for s in range(len(X.segments.lengths))) if X is not None else iter(())
+    for want, error in zip(alone, errors):
+        if isinstance(want, GenerationFailed):
+            assert (type(error), str(error)) == (GenerationFailed, str(want))
+        else:
+            assert error is None and np.array_equal(X.values[next(rows)], want)
+    assert next(rows, None) is None
+    if lambda_range == (1.0, 1.0):  # a planar X: no torsion volume has a strict sign
+        assert X is None and all("no generic radial instance" in str(e) for e in errors)
+    elif lo == 4:  # the closure rejects a draw at small n, which that stream draws again
+        assert calls["_closure_draw"] > calls["_convex_from_rng"]
