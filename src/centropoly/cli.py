@@ -319,16 +319,17 @@ def _verify_chunks(args, lo: int, hi: int, lam_range: tuple, tol: ToleranceConfi
         seed = [args.seed, index]
         n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
         if cfgs and rows + n > CHUNK_ROWS:
-            yield _generated(wheres, cfgs, tol)
+            yield _generate_chunk(wheres, cfgs, tol)
             wheres, cfgs, rows = [], [], 0
         wheres.append({"seed": seed, "n": n})
         cfgs.append(GenConfig(seed=seed + [1], n=n, lambda_range=lam_range))
         rows += n
     if cfgs:
-        yield _generated(wheres, cfgs, tol)
+        yield _generate_chunk(wheres, cfgs, tol)
 
 
-def _generated(wheres: list[dict], cfgs: list[GenConfig], tol: ToleranceConfig) -> list[tuple]:
+def _generate_chunk(wheres: list[dict], cfgs: list[GenConfig], tol: ToleranceConfig) -> list[tuple]:
+    """(where, X) per config: the rows of its instance's nodes, or the GeometryError that generating it raised."""
     X, errors = random_radial_instances(cfgs, tol)
     bounds = X.segments.bounds if X is not None else []
     parts = (X.values[lo:hi] for lo, hi in zip(bounds, bounds[1:]))

@@ -103,11 +103,11 @@ def _layout(ns: list[int]) -> tuple:
     return seg, (np.repeat(np.arange(len(ns)), seg.lengths), slot), slot, seg.spread(seg.lengths)
 
 
-def _padded(a: np.ndarray, at) -> np.ndarray:
+def _padded(a: np.ndarray, seg: Segments, at) -> np.ndarray:
     """The rows of each segment along axis 1, zero past its end; a whole sequence's rows get a leading axis of one."""
     if at is None:
         return a[None]
-    out = np.zeros((at[0][-1] + 1, int(at[1].max()) + 1, *a.shape[1:]))
+    out = np.zeros((len(seg.lengths), int(seg.lengths.max()), *a.shape[1:]))
     out[at] = a
     return out
 
@@ -126,14 +126,14 @@ def _closure_draw(rngs: list, ns: list[int], layout: tuple) -> tuple[np.ndarray,
     theta = 2.0 * np.pi * (slot + _joined(jitter)) / n
     dirs = np.empty((len(theta), 2))
     dirs[:, 0], dirs[:, 1] = np.cos(theta), np.sin(theta)
-    # least-norm correction so the edge vectors sum to zero; the products
-    # of a polygon's directions with a vector are taken for it alone
+    # least-norm correction so the edge vectors sum to zero; a product of
+    # one polygon's directions with a vector is taken for that polygon alone
     if at is None:
         D = dirs.T
         lengths = lengths[0] - D.T @ np.linalg.solve(D @ D.T, D @ lengths[0])
     else:
         cuts = [dirs[seg.rows(s)] for s in range(len(ns))]
-        D = _padded(dirs, at)
+        D = _padded(dirs, seg, at)  # zero rows leave each Gram matrix's bits as they are
         rhs = np.array([d.T @ x for d, x in zip(cuts, lengths)])
         sol = np.linalg.solve(D.transpose(0, 2, 1) @ D, rhs[..., None])
         lengths = np.concatenate([x - d @ y[:, 0] for d, x, y in zip(cuts, lengths, sol)])
@@ -158,9 +158,8 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     """
     layout = _layout(ns)
     dirs, lengths, short = _closure_draw(rngs, ns, layout)
-    closed = (~short).reshape(-1).tolist()
-    redraw = [i for i, ok in enumerate(closed) if not ok]
-    for _ in range(999):
+    redraw = np.flatnonzero(short).tolist()
+    for _ in range(999):  # up to 1000 draws per stream
         if not redraw:
             break
         sub = [ns[i] for i in redraw]
@@ -168,17 +167,18 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
         ends = np.cumsum(ns)
         rows = np.concatenate([np.arange(ends[i] - ns[i], ends[i]) for i in redraw])
         dirs[rows], lengths[rows] = d, l
-        for i, bad in zip(redraw, short.reshape(-1).tolist()):
-            closed[i] = not bad
-        redraw = [i for i in redraw if not closed[i]]
-    if not all(closed):
+        redraw = [redraw[j] for j in np.flatnonzero(short).tolist()]
+    closed = [True] * len(ns)
+    for i in redraw:
+        closed[i] = False
+    if redraw:
         if not any(closed):
             return None, None, closed
         keep = np.repeat(closed, ns)
         dirs, lengths, ns = dirs[keep], lengths[keep], [n for n, ok in zip(ns, closed) if ok]
         layout = _layout(ns)
     seg, at, _, _ = layout
-    steps = _padded(lengths[:, None] * dirs, at)
+    steps = _padded(lengths[:, None] * dirs, seg, at)
     pts = np.zeros(steps.shape)
     steps[:, :-1].cumsum(axis=1, out=pts[:, 1:])
     pts = pts[0] if at is None else pts[at]

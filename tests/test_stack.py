@@ -149,3 +149,27 @@ def test_a_chunk_generated_together_gives_each_config_its_own_instance(monkeypat
         assert X is None and all("no generic radial instance" in str(e) for e in errors)
     elif lo == 4:  # the closure rejects a draw at small n, which that stream draws again
         assert calls["_closure_draw"] > calls["_convex_from_rng"]
+
+
+def test_a_stream_whose_lengths_never_close_fails_alone(monkeypatch):
+    cfgs = [GenConfig(seed=[3, i, 1], n=n) for i, n in enumerate((9, 7, 12, 7, 30))]
+    alone = [random_radial_instance(cfg).X.values for cfg in cfgs]
+    draws = []
+    closure_draw = generators._closure_draw
+
+    def collapsing_at_n_7(rngs, ns, layout):
+        dirs, lengths, short = closure_draw(rngs, ns, layout)
+        draws.append(len(ns))
+        return dirs, lengths, short | (np.array(ns) == 7)
+
+    monkeypatch.setattr(generators, "_closure_draw", collapsing_at_n_7)
+    X, errors = random_radial_instances(cfgs)
+    assert draws == [5] + [2] * 999  # every stream draws at most 1000 times
+    assert [str(e) if e else None for e in errors] == [
+        None, "edge lengths kept collapsing under the closure correction", None,
+        "edge lengths kept collapsing under the closure correction", None,
+    ]
+    assert np.array_equal(X.values, np.concatenate([alone[0], alone[2], alone[4]]))
+    assert X.segments.lengths.tolist() == [9, 12, 30]
+    with pytest.raises(GenerationFailed, match="collapsing"):
+        random_radial_instance(cfgs[1])
