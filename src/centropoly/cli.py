@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cyclic import NodeSeq, Segments, ToleranceConfig
+from .cyclic import NodeSeq, ToleranceConfig, stack
 from .documents import (
     document_nodes,
     document_to_framed,
@@ -372,7 +372,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
             live, recorded = todo.pop()
             if not live:
                 continue
-            X = NodeSeq.on(np.concatenate([chunk[i][1] for i in live]), Segments([chunk[i][0]["n"] for i in live]))
+            X = stack([chunk[i][1] for i in live])
             try:
                 P = FramedPolygon(X, vertical_field(X.n))
             except GeometryError as exc:  # the polygon of one instance is not valid

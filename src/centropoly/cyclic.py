@@ -19,8 +19,8 @@ First, the cyclic shifts are two slice concatenations instead of
 arrays, multiply columns) instead of calling ``np.cross``; both perform
 the same floating-point operations as the numpy routines they replace, so
 results agree bit for bit.  Second, a chunk of polygons is evaluated in one
-pass: ``stack`` joins sequences into one array whose rows split into
-``Segments``, each its own cycle.
+pass: ``stack`` joins the polygons' node rows into one array whose rows
+split into ``Segments``, each its own cycle.
 
 Sign predicates use a relative dead-band (``tol_sign`` times the sequence's
 largest magnitude) rather than an absolute epsilon, so every analysis is
@@ -66,10 +66,10 @@ def shift_prev(v: np.ndarray) -> np.ndarray:
 class Segments:
     """How the rows of a sequence split into cycles: one (``WHOLE``), or one per stacked polygon.
 
-    ``stack`` joins sequences into one array whose rows keep their own
-    cycles, so a chunk of polygons is evaluated in one pass over all its
-    rows.  The shifts wrap within each segment; maxima, sign scans,
-    verdicts and the one sum (``sums``) are taken per segment.  Every other
+    ``stack`` joins polygons' node rows into one array whose rows keep
+    their own cycles, so a chunk of polygons is evaluated in one pass over
+    all its rows.  The shifts wrap within each segment; maxima, sign scans,
+    verdicts and sums (``sums``) are taken per segment.  Every other
     operation acts row by row, and a maximum is exact under any grouping,
     so a polygon's numbers in a stack are its numbers on its own, bit for
     bit.
@@ -221,7 +221,7 @@ class _CyclicSeq:
     """Shared behaviour of NodeSeq and EdgeSeq: cyclic slot access over an array.
 
     ``segments`` says how the rows split into cycles: ``WHOLE`` for a
-    sequence built on its own, one segment per input for ``stack``.
+    sequence built on its own, one segment per polygon for ``stack``.
     """
 
     __slots__ = ("values", "segments")
@@ -265,9 +265,9 @@ class EdgeSeq(_CyclicSeq):
     """Cyclic sequence indexed by half-integers; slot k holds the value at k + 1/2."""
 
 
-def stack(seqs: list) -> _CyclicSeq:
-    """The rows of ``seqs`` in order, as one sequence of their type with a segment for each."""
-    return type(seqs[0]).on(np.concatenate([q.values for q in seqs]), Segments([q.n for q in seqs]))
+def stack(parts: list[np.ndarray]) -> NodeSeq:
+    """The node rows of polygons ``parts`` in order, as one node sequence with a segment for each."""
+    return NodeSeq.on(np.concatenate(parts), Segments([len(p) for p in parts]))
 
 
 def node_diff(g: NodeSeq) -> EdgeSeq:

@@ -33,6 +33,7 @@ from .cyclic import (
     second_diff,
     shift_next,
     shift_prev,
+    stack,
 )
 from .errors import DegenerateSign, GenerationFailed, GeometryError
 from .invariants import FramedPolygon, _alpha_values, delta, is_equal_volume, is_generic
@@ -158,7 +159,7 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     """
     layout = _layout(ns)
     dirs, lengths, short = _closure_draw(rngs, ns, layout)
-    redraw = np.flatnonzero(short).tolist()
+    redraw = short.reshape(-1).nonzero()[0].tolist()
     for _ in range(999):  # up to 1000 draws per stream
         if not redraw:
             break
@@ -167,7 +168,7 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
         ends = np.cumsum(ns)
         rows = np.concatenate([np.arange(ends[i] - ns[i], ends[i]) for i in redraw])
         dirs[rows], lengths[rows] = d, l
-        redraw = [redraw[j] for j in np.flatnonzero(short).tolist()]
+        redraw = [redraw[j] for j in short.reshape(-1).nonzero()[0].tolist()]
     closed = [True] * len(ns)
     for i in redraw:
         closed[i] = False
@@ -184,7 +185,7 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     pts = pts[0] if at is None else pts[at]
     pts = pts - seg.spread(_area_centroid(pts, seg))
     radius = seg.sums(row_norms(pts)) / (ns[0] if at is None else seg.lengths)  # mean vertex radius
-    return pts / np.reshape(seg.spread(radius), (-1, 1)), seg, closed
+    return pts / seg.spread(radius)[..., None], seg, closed
 
 
 def _convex_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -221,10 +222,10 @@ def _radial_rounds(cfgs: list[GenConfig], tol: ToleranceConfig) -> tuple[list, l
         drawn, todo = [i for i, ok in zip(todo, closed) if ok], []
         if not drawn:
             break
-        lam = np.exp(np.concatenate([rngs[i].uniform(*logs[cfgs[i].lambda_range], cfgs[i].n) for i in drawn]))
+        lam = np.exp(_joined([rngs[i].uniform(*logs[cfgs[i].lambda_range], cfgs[i].n) for i in drawn]))
         g = NodeSeq.on(gamma, seg)
         X = NodeSeq.on(np.concatenate((gamma * lam[:, None], lam[:, None]), axis=1), seg)
-        accepted = _origin_interior(gamma, seg) & _convexity(g, tol)[1] & np.asarray(is_generic(X, tol))
+        accepted = _origin_interior(gamma, seg) & _convexity(g, tol)[1] & is_generic(X, tol)
         for s, (i, ok) in enumerate(zip(drawn, accepted.reshape(-1).tolist())):
             if ok:
                 found[i] = (g, lam, X, seg.rows(s))
@@ -261,9 +262,7 @@ def random_radial_instances(
     """
     found, errors = _radial_rounds(cfgs, tol)
     rows = [X.values[r] for _, _, X, r in filter(None, found)]
-    if not rows:
-        return None, errors
-    return NodeSeq.on(np.concatenate(rows), Segments([len(x) for x in rows])), errors
+    return (stack(rows) if rows else None), errors
 
 
 def _tangent_kernel(edges: np.ndarray) -> np.ndarray:

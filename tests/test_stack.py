@@ -35,7 +35,7 @@ from centropoly.generators import random_radial_instances
 
 
 def stacked(polys) -> FramedPolygon:
-    return FramedPolygon(stack([p.X for p in polys]), stack([p.U for p in polys]))
+    return FramedPolygon(stack([p.X.values for p in polys]), stack([p.U.values for p in polys]))
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +74,8 @@ def test_stacked_framed_polygons_give_each_polygon_its_own_results(framed):
 def test_stacked_radial_polygons_reorient_and_dualize_segment_by_segment(radial):
     reversed_nodes = NodeSeq(radial[1].X.values[::-1])  # alpha < 0 at every node
     P = FramedPolygon(
-        stack([radial[0].X, reversed_nodes, *(p.X for p in radial[2:])]),
-        stack([p.U for p in radial]),
+        stack([radial[0].X.values, reversed_nodes.values, *(p.X.values for p in radial[2:])]),
+        stack([p.U.values for p in radial]),
     )
     assert np.array_equal(P.X.values, np.concatenate([p.X.values for p in radial]))
     y, v = dual_planar_parts(dual_pair(P))
