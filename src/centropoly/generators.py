@@ -2,8 +2,9 @@
 
 All randomness flows through numpy's default generator (PCG64 seeded by a
 SeedSequence), which is platform independent; identical configurations give
-bit-identical instances.  Batch drivers derive per-instance seeds as
-``[master_seed, index]`` so batches are order independent.
+bit-identical instances.  Batch drivers give each instance its own seeds,
+so batches are order independent: ``verify`` draws instance ``index``'s n
+from ``[seed, index, 0]`` and its polygon from ``[seed, index, 1]``.
 
 The convex polygon under each instance is built from edge directions: n
 angles jittered around the regular spacing (gaps bounded away from zero, so
@@ -12,6 +13,14 @@ projected onto the closure constraint.  Angle-sorted edges make the polygon
 strictly convex with exactly n vertices by construction; it is then
 centered at its area centroid (so the origin is strictly interior) and
 scaled to mean vertex radius one.
+
+Radial instances can also be generated a chunk at a time
+(``random_radial_instances``), in retry rounds: a round draws one polygon
+for every instance still without one, each from its own stream and in the
+order one instance draws, and computes and tests them all as one stack.
+An instance whose draw is rejected draws again in the next round.  Each
+instance has the bits it has when generated on its own (see
+``_convex_from_rng``).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .cyclic import (
     shift_prev,
     stack,
 )
-from .errors import DegenerateSign, GenerationFailed, GeometryError
+from .errors import GenerationFailed, GeometryError
 from .invariants import FramedPolygon, _alpha_values, delta, is_equal_volume, is_generic
 from .pedal import E3, PlanarPair, _convexity, cylindrical_pedal, is_convex, vertical_field
 
@@ -151,11 +160,14 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     times.
 
     The streams' polygons are computed together, stacked in stream order;
-    one stream is the ``WHOLE`` case.  Each step acts row by row, or on one
-    polygon's rows as for that polygon alone, so every polygon has the bits
-    that its stream gives it on its own.  Returns the stacked polygons of
-    the streams that closed (None if none did), their segments, and per
-    stream whether it closed.
+    one stream is the ``WHOLE`` case.  Every polygon gets the bits its
+    stream gives it on its own: the work is elementwise, on a stack of
+    2x2 systems (the solves), on stacks padded with zero rows where that
+    changes no bit (the Gram matrices, the cumulative sums), or polygon by
+    polygon where padding would (the products of directions with a
+    vector, and the sums).  Returns the stacked polygons of the streams
+    that closed (None if none did), their segments, and per stream whether
+    it closed.
     """
     layout = _layout(ns)
     dirs, lengths, short = _closure_draw(rngs, ns, layout)
