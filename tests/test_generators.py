@@ -150,12 +150,13 @@ def test_gen_config_validation():
         GenConfig(max_retries=0)
 
 
-@pytest.mark.parametrize("generate, test", [(random_radial_instance, "_convexity"), (random_planar_pair, "is_convex")])
-def test_generators_retry_only_geometry_errors(generate, test, monkeypatch):
+@pytest.mark.parametrize("generate", [random_radial_instance, random_planar_pair])
+def test_generators_retry_only_geometry_errors(generate, monkeypatch):
     def broken(poly, tol):
         raise TypeError("planted")
 
-    monkeypatch.setattr(generators, test, broken)
+    for convexity_test in ("is_convex", "_convexity"):  # the radial generator calls _convexity
+        monkeypatch.setattr(generators, convexity_test, broken)
     with pytest.raises(TypeError, match="planted"):
         generate(GenConfig(seed=1, n=8))
 
