@@ -149,10 +149,6 @@ INSTANCE_BITS = {
 }
 
 
-def verify_args(seed: int, instances: int) -> argparse.Namespace:
-    return argparse.Namespace(seed=seed, instances=instances)
-
-
 @pytest.mark.parametrize("seed, instances, n_range", INSTANCE_BITS, ids=[str(k) for k in INSTANCE_BITS])
 def test_verify_instances_keep_their_bits(seed, instances, n_range):
     lo, hi = n_range
@@ -161,7 +157,8 @@ def test_verify_instances_keep_their_bits(seed, instances, n_range):
         n = int(np.random.default_rng([seed, i, 0]).integers(lo, hi + 1))
         one_by_one.update(random_radial_instance(GenConfig(seed=[seed, i, 1], n=n)).X.values.tobytes())
     chunked = hashlib.sha256()
-    for chunk in cli._verify_chunks(verify_args(seed, instances), lo, hi, (0.5, 2.0), DEFAULT_TOL):
+    args = argparse.Namespace(seed=seed, instances=instances)
+    for chunk in cli._verify_chunks(args, lo, hi, (0.5, 2.0), DEFAULT_TOL):
         for _, X in chunk:
             chunked.update(X.tobytes())
     want = INSTANCE_BITS[seed, instances, n_range]
