@@ -54,7 +54,6 @@ from .pedal import (
     cylindrical_pedal,
     dual_planar_parts,
     is_convex,
-    is_exact,
     lift,
     planar_curvature,
     planar_vertices,

@@ -153,8 +153,8 @@ def cmd_dual(args, tol: ToleranceConfig) -> int:
     status = 0
     if args.roundtrip:
         try:
-            back = dual_of_dual(D, tol)
-        except GeometryError as exc:  # dualizing back failed its own check
+            back = dual_of_dual(D)
+        except GeometryError as exc:  # the polygon dualized back is not a framed polygon
             return _fail(exc, 1)
         out["roundtrip_error"] = err = involution_error(P, back)
         if err > tol.tol_residual:
@@ -255,7 +255,7 @@ def _verify_battery(tol: ToleranceConfig):
         return quiet, [0.0 if q else 1.0 for q in quiet]
 
     def duality_involution(P, got):
-        errs = involution_error(P, dual_of_dual(got["dual"], tol))
+        errs = involution_error(P, dual_of_dual(got["dual"]))
         return [e <= tol.tol_residual for e in errs], errs
 
     def dual_volume_identities(P, got):

@@ -53,16 +53,6 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def shift_next(v: np.ndarray) -> np.ndarray:
-    """Slot k gets v[k+1] (mod n); equal to ``np.roll(v, -1, axis=0)``."""
-    return np.concatenate((v[1:], v[:1]))
-
-
-def shift_prev(v: np.ndarray) -> np.ndarray:
-    """Slot k gets v[k-1] (mod n); equal to ``np.roll(v, 1, axis=0)``."""
-    return np.concatenate((v[-1:], v[:-1]))
-
-
 class Segments:
     """How the rows of a sequence split into cycles: one (``WHOLE``), or one per stacked polygon.
 
@@ -101,14 +91,14 @@ class Segments:
         return results if self.starts is not None else results[0]
 
     def next(self, v: np.ndarray) -> np.ndarray:
-        """Row k gets v[k+1], wrapping to the first row of its segment."""
+        """Row k gets v[k+1], wrapping to the first row of its segment (``np.roll(v, -1, axis=0)`` on ``WHOLE``)."""
         out = np.concatenate((v[1:], v[:1]))
         if self.starts is not None:
             out[self.lasts] = v[self.starts]
         return out
 
     def prev(self, v: np.ndarray) -> np.ndarray:
-        """Row k gets v[k-1], wrapping to the last row of its segment."""
+        """Row k gets v[k-1], wrapping to the last row of its segment (``np.roll(v, 1, axis=0)`` on ``WHOLE``)."""
         out = np.concatenate((v[-1:], v[:-1]))
         if self.starts is not None:
             out[self.starts] = v[self.lasts]
@@ -383,13 +373,3 @@ def cyclic_sign_changes(values, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int
     arr, seg = _split(values)
     return seg.unstack([(len(js), js) for js in seg.slots(seg.sign_flips(arr, tol))])
 
-
-def sign_change_nodes(values, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
-    """The slots just after each strict sign flip, ascending.
-
-    Junction j of ``cyclic_sign_changes`` lies between slots j and j+1; read
-    as an edge sequence, that is node j+1 (mod n).  Raises DegenerateSign as
-    ``cyclic_sign_changes`` does.
-    """
-    arr, seg = _split(values)
-    return seg.unstack(seg.nodes_after(seg.sign_flips(arr, tol)))

@@ -9,7 +9,9 @@ unique edge-indexed polygon and field satisfying, per edge,
 Closed forms: beta Y = X(i) x X(i+1) and beta V = X'(i+1/2) x U(i).  The
 construction is involutive: dualizing the edge-indexed pair with the node
 convention X(i) from Y(i-1/2), Y(i+1/2) lands back on (X, U) with no index
-shift.  That convention is used throughout this module.
+shift.  That convention is used throughout this module.  ``dual_of_dual``
+builds the pair back without checking it; ``involution_error`` measures
+how far it lies from the source polygon.
 
 The dual curvature satisfies b(Y,V) = sigma * lambda(X,U) for a single
 global sign sigma; this implementation measures sigma instead of assuming
@@ -65,6 +67,12 @@ class DualPair:
         """(V'(i), Y'(i)) in slot i, the increments across the dual edges."""
         Yv, Vv, seg = self.Y.values, self.V.values, self.segments
         return Vv - seg.prev(Vv), Yv - seg.prev(Yv)
+
+    @cached_property
+    def beta_values(self) -> np.ndarray:
+        """beta(Y,V)(i) = [Y(i-1/2), Y(i+1/2), V(i+1/2)] in slot i."""
+        Yv = self.Y.values
+        return det3(self.segments.prev(Yv), Yv, self.V.values)
 
     @cached_property
     def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,8 +139,7 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
 
 def dual_beta_values(D: DualPair) -> np.ndarray:
     """beta(Y,V)(i) = [Y(i-1/2), Y(i+1/2), V(i+1/2)], slot i."""
-    Yv, Vv = D.Y.values, D.V.values
-    return det3(D.segments.prev(Yv), Yv, Vv)
+    return D.beta_values
 
 
 def dual_alpha_values(D: DualPair) -> np.ndarray:
@@ -201,27 +208,18 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     )
 
 
-def dual_of_dual(D: DualPair, tol: ToleranceConfig = DEFAULT_TOL) -> FramedPolygon:
+def dual_of_dual(D: DualPair) -> FramedPolygon:
     """Dualize an edge-indexed pair back to a node-indexed framed polygon.
 
     X(i) is built from Y(i-1/2), Y(i+1/2) so the involution lands on the
-    original index set with no shift.  The result is validated by checking
-    that its own dual reproduces (Y, V).
+    original index set with no shift.  The result is not checked here;
+    ``involution_error`` compares it with the polygon D came from.
     """
     seg = D.segments
     Yv, Vv = D.Y.values, D.V.values
-    Y_prev = seg.prev(Yv)
-    bd = det3(Y_prev, Yv, Vv)[:, None]  # dual_beta_values(D)
-    Xv, Uv = cross3(np.array((Y_prev, Yv - Y_prev)), np.array((Yv, seg.prev(Vv)))) / bd
-    P = FramedPolygon(NodeSeq.on(Xv, seg), NodeSeq.on(Uv, seg))
-    back = dual_pair(P, tol)
-    pair = np.array((Yv, Vv))
-    scale = seg.peak(np.abs(pair))
-    err = seg.peak(np.abs(np.array((back.Y.values, back.V.values)) - pair))
-    s = seg.first(err > tol.tol_residual * scale)
-    if s is not None:
-        raise DualityResidual(f"dual of the reconstructed pair deviates by {np.ravel(err)[s]:.3e}").at(s)
-    return P
+    bd = D.beta_values[:, None]
+    Xv, Uv = cross3(np.array((seg.prev(Yv), D.increments[1])), np.array((Yv, seg.prev(Vv)))) / bd
+    return FramedPolygon(NodeSeq.on(Xv, seg), NodeSeq.on(Uv, seg))
 
 
 def involution_error(P: FramedPolygon, back: FramedPolygon) -> float:
@@ -247,10 +245,6 @@ class CoplanarityReport:
 
     coplanar: tuple[bool, ...]
     concurrent: tuple[bool, ...]
-
-    @property
-    def agreement(self) -> tuple[bool, ...]:
-        return tuple(c == k for c, k in zip(self.coplanar, self.concurrent))
 
 
 def coplanarity_concurrency_check(

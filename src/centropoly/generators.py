@@ -40,8 +40,6 @@ from .cyclic import (
     node_diff,
     row_norms,
     second_diff,
-    shift_next,
-    shift_prev,
     stack,
 )
 from .errors import GenerationFailed, GeometryError
@@ -63,8 +61,8 @@ class GenConfig:
         lo, hi = self.lambda_range
         if self.n < 3:
             raise ValueError("polygons need at least 3 nodes")
-        if not (0.0 < lo <= hi):
-            raise ValueError("lambda_range must satisfy 0 < lo <= hi")
+        if not (0.0 < lo <= hi < np.inf):
+            raise ValueError("lambda_range must satisfy 0 < lo <= hi < inf")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
         if self.perturb_scale < 0.0:
@@ -307,7 +305,7 @@ def _parallel_field(positions: np.ndarray, edges: np.ndarray, beta0: np.ndarray,
     increments = -b[:, None] * edges
     W = w0 + np.concatenate((np.zeros((1, dim)), np.cumsum(increments[:-1], axis=0)))
     if dim == 3:
-        contrib = np.einsum("ij,ij->i", cross3(positions, shift_next(positions)), W)
+        contrib = np.einsum("ij,ij->i", cross3(positions, WHOLE.next(positions)), W)
     else:
         contrib = area2(edges, W)
     top = float(np.abs(contrib).max())
@@ -333,7 +331,7 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
         nodes = NodeSeq(X)
         if not is_generic(nodes, tol):
             continue
-        X_next = shift_next(X)
+        X_next = WHOLE.next(X)
         edges = X_next - X
         beta0 = area2(X, X_next)  # [X(i), X(i+1), E3], the margin of the vertical field
         W = _parallel_field(X, edges, beta0, rng)
@@ -357,7 +355,7 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
                 continue
         except GeometryError:
             continue
-        edges = shift_next(x) - x
+        edges = WHOLE.next(x) - x
         base = -x  # inward field, curvature 1, beta = [x(i), x(i+1)]
         beta0 = area2(edges, base)
         if np.min(beta0) <= 0.0:
@@ -375,17 +373,17 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
 def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
     """Radial multipliers mu with unit consecutive edge-vector areas, or None."""
     n = p.shape[0]
-    p_next = shift_next(p)
+    p_next = WHOLE.next(p)
     a = area2(p, p_next)
-    b = shift_prev(a)
-    c = area2(shift_prev(p), p_next)
+    b = WHOLE.prev(a)
+    c = area2(WHOLE.prev(p), p_next)
     base = b + a - c  # areas at mu = 1
     if np.min(base) <= 0.0:
         return None
     mu = np.full(n, 1.0 / np.sqrt(np.mean(base)))
 
     def F(m):
-        m_prev, m_next = shift_prev(m), shift_next(m)
+        m_prev, m_next = WHOLE.prev(m), WHOLE.next(m)
         return m * m_next * a + m_prev * m * b - m_prev * m_next * c - 1.0
 
     f = F(mu)
@@ -394,7 +392,7 @@ def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
             return mu
         J = np.zeros((n, n))
         idx = np.arange(n)
-        mu_prev, mu_next = shift_prev(mu), shift_next(mu)
+        mu_prev, mu_next = WHOLE.prev(mu), WHOLE.next(mu)
         J[idx, (idx - 1) % n] += mu * b - mu_next * c
         J[idx, idx] += mu_next * a + mu_prev * b
         J[idx, (idx + 1) % n] += mu * a - mu_prev * c
@@ -426,7 +424,7 @@ def random_equal_area_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL
             continue
         out = NodeSeq(mu[:, None] * p)
         e = node_diff(out).values
-        areas = area2(e, shift_next(e))
+        areas = area2(e, WHOLE.next(e))
         if np.max(np.abs(areas - 1.0)) <= 1e-12:
             return out
     raise GenerationFailed(f"no equal-area polygon after {cfg.max_retries} tries")

@@ -198,6 +198,11 @@ class FramedPolygon:
         """[X', X'', X](i) and [X', X'', U](i) in slot i, stacked."""
         return det3(self.edge_vectors, self.second_diffs, np.array((self.X.values, self.U.values)))
 
+    @cached_property
+    def lambda_values(self) -> np.ndarray:
+        """lambda(i) = [X', X'', U] / alpha(i) in slot i, ungated (``lambda_coeff`` gates it)."""
+        return self.osculating_dets[1] / self.alpha_values
+
     def __repr__(self):
         return f"FramedPolygon(n={self.n})"
 
@@ -228,7 +233,7 @@ def _lambda_values(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
     s = P.segments.first(_lambda_misfit(P, tol))
     if s is not None:
         raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha").at(s)
-    return P.osculating_dets[1] / P.alpha_values
+    return P.lambda_values
 
 
 def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
@@ -275,7 +280,7 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
         raise NotGeneric(str(exc)).at(exc.segment) from exc
     nodes = seg.nodes_after(flips)
     if isinstance(poly, FramedPolygon):
-        lam = poly.osculating_dets[1] / poly.alpha_values
+        lam = poly.lambda_values
         signs = seg.signs(seg.next(lam) - lam, tol)
         skip = (
             _lambda_misfit(poly, tol)

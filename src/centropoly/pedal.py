@@ -25,6 +25,7 @@ import numpy as np
 
 from .cyclic import (
     DEFAULT_TOL,
+    WHOLE,
     EdgeSeq,
     NodeSeq,
     ToleranceConfig,
@@ -32,8 +33,6 @@ from .cyclic import (
     as_vec3,
     cross3,
     det3,
-    shift_next,
-    shift_prev,
 )
 from .duality import DualPair, dual_pair
 from .errors import (
@@ -91,7 +90,7 @@ class PlanarPair:
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
-        return shift_next(self.x.values) - self.x.values
+        return WHOLE.next(self.x.values) - self.x.values
 
     @cached_property
     def beta_values(self) -> np.ndarray:
@@ -104,7 +103,7 @@ class PlanarPair:
 
 def planar_curvature(pp: PlanarPair, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq:
     """Edge curvatures of a parallel planar field: u' = -b x'."""
-    du = shift_next(pp.u.values) - pp.u.values
+    du = WHOLE.next(pp.u.values) - pp.u.values
     return EdgeSeq(tangential_ratio(du, pp.edge_vectors, tol))
 
 
@@ -200,11 +199,11 @@ def unpedal(Y, E, tol: ToleranceConfig = DEFAULT_TOL) -> PlanarPair:
     """
     E = as_vec3(E)
     Yv = Y.values if isinstance(Y, (NodeSeq, EdgeSeq)) else np.asarray(Y, dtype=float)
-    Y_prev = shift_prev(Yv)
+    Y_prev = WHOLE.prev(Yv)
     bd = det3(Y_prev, Yv, np.broadcast_to(E, Yv.shape))
     if np.all(bd < 0.0):
         Yv = Yv[::-1]
-        Y_prev = shift_prev(Yv)
+        Y_prev = WHOLE.prev(Yv)
         bd = det3(Y_prev, Yv, np.broadcast_to(E, Yv.shape))
     if not np.all(bd > 0.0):
         raise NonTransversal("the constant field is not transversal to the polygon")
@@ -263,20 +262,6 @@ def is_convex(poly: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return convex.tolist()
 
 
-def _exact_fit(y: NodeSeq, v: NodeSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``_tangential_fit`` of v' = -b y' on the edges of y."""
-    seg = y.segments
-    return _tangential_fit(seg.next(v.values) - v.values, seg.next(y.values) - y.values)
-
-
-def is_exact(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, EdgeSeq | None]:
-    """Test v' = -b y' slotwise and return the curvatures when exact."""
-    fit = _exact_fit(y, v)
-    if _not_tangential(fit, tol).any():
-        return False, None
-    return True, EdgeSeq.on(fit[0], y.segments)
-
-
 def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Vertex edges of an exact planar pair, labeled in the half-integer-node frame.
 
@@ -286,7 +271,7 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
     flattening node labels of a source spatial polygon under duality.
     """
     seg = y.segments
-    fit = _exact_fit(y, v)
+    fit = _tangential_fit(seg.next(v.values) - v.values, seg.next(y.values) - y.values)  # v' = -b y'
     hit = seg.find(_not_tangential(fit, tol))
     if hit is not None:
         raise NotExact("the field is not exact with respect to the polygon").at(hit[0])

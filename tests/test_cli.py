@@ -333,7 +333,7 @@ def test_verify_deterministic_bytes(tmp_path, capsys):
 
 
 def test_verify_records_one_failure_under_the_raising_check(monkeypatch, capsys):
-    def raising(D, tol):
+    def raising(D):
         raise DualityResidual("planted")
 
     monkeypatch.setattr(cli, "dual_of_dual", raising)
@@ -374,6 +374,15 @@ def test_verify_rejects_non_integral_n_range(bounds, capsys):
     assert "ValidationError" in err and "--n-range" in err
 
 
+@pytest.mark.parametrize("bounds", ["1..inf", "0.5..nan"])
+@pytest.mark.parametrize("command", [("generate",), ("verify", "--instances", "2")])
+def test_non_finite_lambda_range_is_rejected(command, bounds, capsys):
+    code, out, err = run(capsys, *command, "--lambda-range", bounds)
+    assert code == 2
+    assert out == ""
+    assert "ValueError" in err and "lambda_range" in err
+
+
 def test_verify_reports_generation_failures(tmp_path, capsys):
     # with every radial scale 1 the polygon is planar, so no draw is generic
     path = tmp_path / "r.json"
@@ -405,7 +414,7 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "_tangential_fit", fit)
     for module in (cli, duality):
         monkeypatch.setattr(module, "dual_pair", pair)
-    for name in ("osculating_dets", "delta_values"):
+    for name in ("osculating_dets", "lambda_values", "delta_values"):
         prop = cached_property(counted(name, vars(FramedPolygon)[name].func))
         prop.__set_name__(FramedPolygon, name)
         monkeypatch.setattr(FramedPolygon, name, prop)
@@ -421,16 +430,17 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         # NodeSeq/EdgeSeq are built per chunk, not per instance: by generation
         # (gamma and X for the acceptance tests, the stacked X), where the
         # battery's stack is assembled (X, the field and its segmented copy)
-        # and where a public function returns one: two dual pairs, the
-        # re-dualized polygon and the planar parts
-        assert calls.pop("wrap") == 14
-        # per chunk, the curvature is fitted for (X, U), for its dual, for the
-        # re-dualized polygon of dual_of_dual's self-check and for the planar parts
-        assert calls == {"fit": 4, "osculating_dets": 1, "delta_values": 1, "dual_pair": 2}
+        # and where a public function returns one: the dual pair, the
+        # polygon dualized back and the planar parts
+        assert calls.pop("wrap") == 12
+        # per chunk, the curvature is fitted for (X, U), for its dual and for the planar parts
+        assert calls == {
+            "fit": 3, "osculating_dets": 1, "lambda_values": 1, "delta_values": 1, "dual_pair": 1,
+        }
 
 
 def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
-    def raising(D, tol):
+    def raising(D):
         raise DualityResidual("planted")
 
     code, out, _ = run(capsys, "generate", "--kind", "framed", "--n", "12", "--seed", "7")

@@ -202,7 +202,7 @@ def test_coplanarity_planar_polygon_fully_degenerate(square):
     rep = coplanarity_concurrency_check(square, dual_pair(square))
     assert all(rep.coplanar)
     assert all(rep.concurrent)
-    assert all(rep.agreement)
+    assert rep.coplanar == rep.concurrent
 
 
 def test_coplanarity_planted_instance():
@@ -210,7 +210,7 @@ def test_coplanarity_planted_instance():
     rep = coplanarity_concurrency_check(P, dual_pair(P))
     assert [k for k, c in enumerate(rep.coplanar) if c] == [edge]
     assert [k for k, c in enumerate(rep.concurrent) if c] == [edge]
-    assert all(rep.agreement)
+    assert rep.coplanar == rep.concurrent
 
 
 def test_coplanarity_generic_instances_fire_nowhere():

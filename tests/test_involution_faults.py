@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from centropoly import GenConfig, NodeSeq, cli, dual_of_dual, dual_pair, random_framed_polygon
-from centropoly.cyclic import DEFAULT_TOL, cross3, det3
+from centropoly.cyclic import cross3, det3
 from test_acceptance import TOL, rel_err
 
 
@@ -28,7 +28,7 @@ class Pair:
     U: NodeSeq
 
 
-def wrong_end_of_the_edge(D, tol):
+def wrong_end_of_the_edge(D, tol=None):
     """The reconstruction with V read at the far end of each dual edge instead of the near one."""
     seg = D.segments
     Yv, Vv = D.Y.values, D.V.values
@@ -38,18 +38,18 @@ def wrong_end_of_the_edge(D, tol):
     return Pair(NodeSeq.on(Xv, seg), NodeSeq.on(Uv, seg))
 
 
-def one_node_scaled(D, tol):
+def one_node_scaled(D, tol=None):
     """The real result with the first node of each polygon scaled by 1 + 1e-6."""
-    back = dual_of_dual(D, tol)
+    back = dual_of_dual(D)
     seg = D.segments
     Xv = back.X.values.copy()
     Xv[[0] if seg.starts is None else seg.starts] *= 1.0 + 1e-6
     return Pair(NodeSeq.on(Xv, seg), back.U)
 
 
-def field_tilted(D, tol):
+def field_tilted(D, tol=None):
     """The real result with U replaced by U + 1e-6 X."""
-    back = dual_of_dual(D, tol)
+    back = dual_of_dual(D)
     return Pair(back.X, NodeSeq.on(back.U.values + 1e-6 * back.X.values, D.segments))
 
 
@@ -69,7 +69,7 @@ def test_every_reading_of_the_involution_catches_a_faulty_reconstruction(tmp_pat
     for i in range(20):
         n = int(np.random.default_rng([10, i, 0]).integers(5, 51))
         P = random_framed_polygon(GenConfig(seed=[10, i, 1], n=n))
-        back = fault(dual_pair(P), DEFAULT_TOL)
+        back = fault(dual_pair(P))
         assert max(rel_err(back.X.values, P.X.values), rel_err(back.U.values, P.U.values)) > TOL
 
     code, text = run("generate", "--kind", "framed", "--n", "12", "--seed", "7")

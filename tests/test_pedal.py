@@ -16,7 +16,6 @@ from centropoly import (
     is_constant_curvature,
     is_convex,
     is_equal_volume,
-    is_exact,
     is_unimodular,
     lambda_coeff,
     lift,
@@ -39,6 +38,7 @@ from centropoly.errors import (
     NotGeneric,
     NotParallel,
 )
+from centropoly.invariants import _tangential_fit
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -53,7 +53,7 @@ def radial_dual_parts(inst):
 
 def test_inward_field_has_unit_curvature():
     # no constant field is transversal to a closed planar polygon, so the
-    # zero-curvature end of the scale is covered by is_exact instead
+    # zero-curvature end of the scale is covered by test_constant_field_is_exact instead
     x = NodeSeq([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     pp = PlanarPair(x, NodeSeq(-x.values))
     assert np.allclose(planar_curvature(pp).values, 1.0, rtol=0, atol=1e-15)
@@ -231,26 +231,25 @@ def test_clockwise_traversal_is_rejected():
 def test_constant_field_is_exact():
     y = NodeSeq([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     v = NodeSeq(np.tile([0.3, 0.4], (4, 1)))
-    ok, b = is_exact(y, v)
-    assert ok
-    assert np.array_equal(b.values, np.zeros(4))
+    b, resid, _ = _tangential_fit(node_diff(v).values, node_diff(y).values)  # planar_vertices' fit
+    assert np.array_equal(b, np.zeros(4))
+    assert not resid.any()
+    # so the field passes the exactness gate, and every curvature difference is zero
+    with pytest.raises(NotGeneric):
+        planar_vertices(y, v)
 
 
-def test_is_exact_rejects_mismatched_lengths():
+def test_planar_vertices_reject_mismatched_lengths():
     y = NodeSeq([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     v = NodeSeq(np.tile([0.3, 0.4], (5, 1)))
     with pytest.raises(ValueError):
-        is_exact(y, v)
+        planar_vertices(y, v)
 
 
 def repeated_node_pair():
     """A pair whose y has a repeated node, so one increment of y and of v is zero."""
     y = NodeSeq([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     return y, NodeSeq(-y.values)
-
-
-def test_is_exact_rejects_a_zero_increment():
-    assert is_exact(*repeated_node_pair()) == (False, None)
 
 
 def test_planar_vertices_reject_a_zero_increment():
@@ -261,8 +260,7 @@ def test_planar_vertices_reject_a_zero_increment():
 def test_dual_parts_of_radial_instance_are_exact():
     inst = random_radial_instance(GenConfig(seed=3, n=9))
     y, v = radial_dual_parts(inst)
-    ok, b = is_exact(y, v)
-    assert ok
+    assert len(planar_vertices(y, v)) >= 4  # NotExact would be raised first
 
 
 def test_rotated_increment_breaks_exactness():
@@ -271,16 +269,17 @@ def test_rotated_increment_breaks_exactness():
     dy = node_diff(y).values
     bad = v.values.copy()
     bad[3] += 0.1 * np.array([-dy[2][1], dy[2][0]])
-    ok, _ = is_exact(y, NodeSeq(bad))
-    assert not ok
+    with pytest.raises(NotExact):
+        planar_vertices(y, NodeSeq(bad))
 
 
 def test_planar_vertices_against_direct_scan():
     for seed in range(10):
         inst = random_radial_instance(GenConfig(seed=20 + seed, n=6 + (seed % 9)))
         y, v = radial_dual_parts(inst)
-        _, b = is_exact(y, v)
-        d = b.values - np.roll(b.values, 1)
+        dv, dy = node_diff(v).values, node_diff(y).values
+        b = -np.einsum("ij,ij->i", dv, dy) / np.einsum("ij,ij->i", dy, dy)  # v' = -b y'
+        d = b - np.roll(b, 1)
         n = y.n
         expected = sorted(i for i in range(n) if d[(i - 1) % n] * d[i] < 0.0)
         assert planar_vertices(y, v) == expected
