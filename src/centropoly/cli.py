@@ -350,6 +350,11 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     if lo < 4 or hi < lo:
         raise ValidationError("--n-range needs 4 <= lo <= hi")
     lam_range = _parse_range(args.lambda_range, "--lambda-range", float)
+    if args.report:
+        try:  # before any instance is generated, so an unwritable path costs no run
+            open(args.report, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValidationError(f"cannot write report: {exc}") from exc
     battery = _verify_battery(tol)
     passes = 0
     failures: list[dict] = []
@@ -374,7 +379,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
                 continue
             X = stack([chunk[i][1] for i in live])
             try:
-                P = FramedPolygon(X, vertical_field(X.n))
+                P = FramedPolygon(X, NodeSeq.on(np.tile(E3, (X.n, 1)), X.segments))
             except GeometryError as exc:  # the polygon of one instance is not valid
                 s = exc.segment
                 found.append((live[s], -1, _failure(chunk[live[s]][0], "generate", exc)))

@@ -14,13 +14,14 @@ so ``edge_diff(node_diff(g))`` is the second difference g''.
 
 Polygons are small (tens of nodes), so the cost of the primitives here is
 numpy's per-call overhead rather than arithmetic.  Two things follow.
-First, the cyclic shifts are two slice concatenations instead of
-``np.roll``, and the vector products gather permuted components (on long
-arrays, multiply columns) instead of calling ``np.cross``; both perform
-the same floating-point operations as the numpy routines they replace, so
-results agree bit for bit.  Second, a chunk of polygons is evaluated in one
-pass: ``stack`` joins the polygons' node rows into one array whose rows
-split into ``Segments``, each its own cycle.
+First, a cyclic shift is one ``take`` over wrap indices computed once per
+``Segments`` instead of ``np.roll``, and the vector products gather
+permuted components (on long arrays, multiply columns) instead of calling
+``np.cross``; both perform the same floating-point operations as the numpy
+routines they replace, so results agree bit for bit.  Second, a chunk of
+polygons is evaluated in one pass: ``stack`` joins the polygons' node rows
+into one array whose rows split into ``Segments``, each its own cycle; a
+sequence built on its own is a stack of one.
 
 Sign predicates use a relative dead-band (``tol_sign`` times the sequence's
 largest magnitude) rather than an absolute epsilon, so every analysis is
@@ -30,6 +31,7 @@ invariant under global rescaling of the polygon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +56,7 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 class Segments:
-    """How the rows of a sequence split into cycles: one (``WHOLE``), or one per stacked polygon.
+    """How the rows of a sequence split into cycles, one per polygon.
 
     ``stack`` joins polygons' node rows into one array whose rows keep
     their own cycles, so a chunk of polygons is evaluated in one pass over
@@ -64,72 +66,77 @@ class Segments:
     so a polygon's numbers in a stack are its numbers on its own, bit for
     bit.
 
-    A function that returns one result per polygon returns, for a stacked
-    sequence, a list with one result per segment; per-segment maxima of a
-    whole sequence drop the segment axis, so its results are scalars.  An
-    error it raises is about the first segment that fails the earliest of
-    its gates, which it names in ``GeometryError.segment``; its message is
-    the one that polygon alone would give.
+    A sequence built on its own is a stack of one (``Segments.one``), so
+    every operation here has one body.  Only ``unstack`` tells the two
+    apart: a function that returns one result per polygon returns, for a
+    stack, a list with one result per segment, and for a polygon on its own
+    that one result.  An error it raises is about the first segment that
+    fails the earliest of its gates, which it names in
+    ``GeometryError.segment``; its message is the one that polygon alone
+    would give.
     """
 
-    __slots__ = ("starts", "lasts", "lengths", "bounds")
+    __slots__ = ("starts", "lengths", "bounds", "owner", "slot", "alone", "_next", "_prev")
 
     def __init__(self, lengths):
-        """Consecutive segments of the given row counts; None gives ``WHOLE``."""
-        if lengths is None:
-            self.starts = self.lasts = self.lengths = self.bounds = None
-            return
-        self.lengths = np.asarray(lengths, dtype=np.intp)
+        """A stack of consecutive segments of the given row counts."""
+        self.lengths = np.array(lengths, dtype=np.intp)
         if self.lengths.ndim != 1 or not self.lengths.size or self.lengths.min() < 3:
             raise ValueError("segments need period n >= 3 each")
-        self.lasts = np.cumsum(self.lengths) - 1
-        self.starts = self.lasts - (self.lengths - 1)
-        self.bounds = [0, *(self.lasts + 1).tolist()]
+        ends = self.lengths.cumsum()
+        self.starts = ends - self.lengths
+        self.bounds = (0, *ends.tolist())
+        rows = np.arange(self.bounds[-1])
+        self.owner = np.arange(len(self.lengths)).repeat(self.lengths)  # each row's segment
+        self.slot = rows - self.starts.take(self.owner)  # each row's slot within its segment
+        self.alone = False
+        # the row each row's shifts read, wrapping within its segment
+        lasts = ends - 1
+        self._next = rows + 1
+        self._next[lasts] = self.starts
+        self._prev = rows - 1
+        self._prev[self.starts] = lasts
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def one(n: int) -> Segments:
+        """The one segment of a polygon of n rows on its own, shared by every sequence of that length.
+
+        Nothing may write to its arrays (numpy copies read-only indices on every ``take``).
+        """
+        seg = Segments([n])
+        seg.alone = True
+        return seg
 
     def unstack(self, results: list):
-        """``results``, one per segment, as returned: the list for a stack, its one entry otherwise."""
-        return results if self.starts is not None else results[0]
+        """``results``, one per segment, as returned: the list for a stack, its one entry for a polygon on its own."""
+        return results[0] if self.alone else results
 
     def next(self, v: np.ndarray) -> np.ndarray:
-        """Row k gets v[k+1], wrapping to the first row of its segment (``np.roll(v, -1, axis=0)`` on ``WHOLE``)."""
-        out = np.concatenate((v[1:], v[:1]))
-        if self.starts is not None:
-            out[self.lasts] = v[self.starts]
-        return out
+        """Row k gets v[k+1], wrapping to the first row of its segment."""
+        return v.take(self._next, axis=0)
 
     def prev(self, v: np.ndarray) -> np.ndarray:
-        """Row k gets v[k-1], wrapping to the last row of its segment (``np.roll(v, 1, axis=0)`` on ``WHOLE``)."""
-        out = np.concatenate((v[-1:], v[:-1]))
-        if self.starts is not None:
-            out[self.starts] = v[self.lasts]
-        return out
+        """Row k gets v[k-1], wrapping to the last row of its segment."""
+        return v.take(self._prev, axis=0)
 
     def max(self, a: np.ndarray) -> np.ndarray:
-        """The largest entry of each segment along the last axis (the rows), which becomes the segment axis.
-
-        A whole sequence has no segment axis: its maxima drop the rows axis.
-        """
-        if self.starts is None:
-            return np.maximum.reduce(a, axis=-1)
+        """The largest entry of each segment along the last axis (the rows), which becomes the segment axis."""
         return np.maximum.reduceat(a, self.starts, axis=-1)
 
     def peak(self, a: np.ndarray) -> np.ndarray:
-        """The largest entry of each segment of an array of vectors, whose rows run along axis -2."""
-        if self.starts is None:
-            return np.maximum.reduce(a, axis=None)
-        return self.max(a.max(axis=-1).reshape(-1, a.shape[-2]).max(axis=0))
+        """The largest entry of each segment of a 2-D array of row vectors."""
+        return np.maximum.reduceat(a, self.starts, axis=0).max(axis=1)
 
     def spread(self, x: np.ndarray) -> np.ndarray:
-        """Per-segment values (along the first axis) repeated over the rows (a whole sequence's broadcast)."""
-        return x if self.starts is None else np.repeat(x, self.lengths, axis=0)
+        """Per-segment values (along the first axis) repeated over the rows."""
+        return x.take(self.owner, axis=0)
 
     def rows(self, s: int) -> slice:
-        return slice(None) if self.starts is None else slice(self.bounds[s], self.bounds[s + 1])
+        return slice(self.bounds[s], self.bounds[s + 1])
 
-    def first(self, bad) -> int | None:
+    def first(self, bad: np.ndarray) -> int | None:
         """The first segment for which a per-segment verdict is true, or None."""
-        if self.starts is None:
-            return 0 if bad else None
         s = int(bad.argmax())
         return s if bad[s] else None
 
@@ -138,31 +145,23 @@ class Segments:
         k = int(mask.argmax())
         if not mask[k]:
             return None
-        if self.starts is None:
-            return 0, k, k
-        s = int(np.searchsorted(self.lasts, k))
-        return s, k - self.bounds[s], k
+        return int(self.owner[k]), int(self.slot[k]), k
 
     def parts(self, a: np.ndarray) -> list[list]:
         """The rows of a 1-D array as one list per segment."""
         values = a.tolist()
-        if self.starts is None:
-            return [values]
         return [values[lo:hi] for lo, hi in zip(self.bounds, self.bounds[1:])]
 
     def slots(self, mask: np.ndarray) -> list[list[int]]:
         """Per segment, the ascending slots where ``mask`` is true."""
-        rows = np.flatnonzero(mask)
-        if self.starts is None:
-            return [rows.tolist()]
-        local = (rows - self.starts[np.searchsorted(self.lasts, rows)]).tolist()
-        cuts = [0, *np.searchsorted(rows, self.starts[1:]).tolist(), len(local)]
+        (rows,) = mask.nonzero()
+        local = self.slot.take(rows).tolist()
+        cuts = [0, *rows.searchsorted(self.starts[1:]).tolist(), len(local)]
         return [local[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     def signs(self, arr: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         """Dead-banded signs, each segment scaled by its own largest magnitude."""
-        scale = self.spread(self.max(np.abs(arr))) if arr.size else 0.0
-        band = tol.tol_sign * scale
+        band = self.spread(tol.tol_sign * self.max(np.abs(arr)))
         return (arr > band).astype(int) - (arr < -band)
 
     def flips(self, signs: np.ndarray) -> np.ndarray:
@@ -186,13 +185,9 @@ class Segments:
         return self.slots(self.prev(flips))
 
     def sums(self, a: np.ndarray) -> np.ndarray:
-        """The sum of each segment of a 1-D array, added up as for that segment alone."""
-        if self.starts is None:
-            return np.add.reduce(a)
-        return np.array([np.add.reduce(a[lo:hi]) for lo, hi in zip(self.bounds, self.bounds[1:])])
-
-
-WHOLE = Segments(None)
+        """The sums of each segment along the last axis (the rows), each added up as for that row of that segment alone."""
+        a = np.ascontiguousarray(a)  # numpy may add up a strided row in another order
+        return np.array([np.add.reduce(a[..., lo:hi], axis=-1) for lo, hi in zip(self.bounds, self.bounds[1:])])
 
 
 def _as_cyclic_values(values) -> np.ndarray:
@@ -210,24 +205,24 @@ def _as_cyclic_values(values) -> np.ndarray:
 class _CyclicSeq:
     """Shared behaviour of NodeSeq and EdgeSeq: cyclic slot access over an array.
 
-    ``segments`` says how the rows split into cycles: ``WHOLE`` for a
-    sequence built on its own, one segment per polygon for ``stack``.
+    ``segments`` says how the rows split into cycles: ``Segments.one`` for
+    a sequence built on its own, one segment per polygon for ``stack``.
     """
 
     __slots__ = ("values", "segments")
 
     def __init__(self, values):
         object.__setattr__(self, "values", _as_cyclic_values(values))
-        object.__setattr__(self, "segments", WHOLE)
+        object.__setattr__(self, "segments", Segments.one(self.n))
 
     @classmethod
     def on(cls, values, segments: Segments):
         """A sequence of ``values`` whose rows split into ``segments``."""
-        seq = cls(values)
-        if segments is not WHOLE:
-            if segments.bounds[-1] != seq.n:
-                raise ValueError("segments must cover the rows of the sequence")
-            object.__setattr__(seq, "segments", segments)
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "values", _as_cyclic_values(values))
+        if segments.bounds[-1] != seq.n:
+            raise ValueError("segments must cover the rows of the sequence")
+        object.__setattr__(seq, "segments", segments)
         return seq
 
     def __setattr__(self, name, value):
@@ -353,11 +348,12 @@ def as_vec3(v) -> np.ndarray:
 def _split(values) -> tuple[np.ndarray, Segments]:
     if isinstance(values, _CyclicSeq):
         return values.values, values.segments
-    return np.asarray(values, dtype=float), WHOLE
+    arr = np.asarray(values, dtype=float)
+    return arr, Segments.one(len(arr))
 
 
 def strict_signs(values, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Dead-banded signs of a whole sequence, scaled by its own max magnitude (per segment of a stack)."""
+    """Dead-banded signs of a sequence, each segment scaled by its own largest magnitude."""
     arr, seg = _split(values)
     return seg.signs(arr, tol)
 

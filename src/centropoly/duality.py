@@ -82,7 +82,7 @@ class DualPair:
 
 @dataclass(frozen=True)
 class DualReport:
-    """Residuals of the dual volume identities and the measured curvature sign."""
+    """Residuals of the dual volume identities and the measured curvature sign; per segment for a stack."""
 
     beta_dual_residual: float
     alpha_dual_residual: float
@@ -124,10 +124,10 @@ def dual_pair(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> DualPair:
     tops = seg.max(norms[:2])
     bound = tol.tol_residual * (norms[2:, None, :] * seg.spread(tops[0] + tops[1]) + _RELATION_WANT)
     # per (Y, V), partner and segment
-    excess = seg.max(np.abs(got - _RELATION_WANT) - bound).reshape(2, 5, -1)
+    excess = seg.max(np.abs(got - _RELATION_WANT) - bound)
     nonparallel = seg.max(_not_tangential(P.curvature_fit, tol))
     if seg.first(nonparallel) is not None:  # the far-node relations are checked where U is parallel
-        excess[:, 3:, np.ravel(nonparallel)] = -np.inf
+        excess[:, 3:, nonparallel] = -np.inf
     s = seg.first((excess > 0.0).any(axis=(0, 1)))
     if s is not None:
         # rows are (Y, V); put the six near-node relations before the far ones
@@ -200,11 +200,11 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     dev_plus, dev_minus = seg.max(np.abs(b_dual - lam)), seg.max(np.abs(b_dual + lam))
     plus = dev_plus <= dev_minus
     return DualReport(
-        beta_dual_residual=rel(bd, bd_expect).tolist(),
-        alpha_dual_residual=rel(ad, ad_expect).tolist(),
-        v_parallel_residual=parallel_resid.tolist(),
-        sign_sigma=np.where(plus, 1, -1).tolist(),
-        sigma_fit_residual=(np.where(plus, dev_plus, dev_minus) / lam_scale).tolist(),
+        beta_dual_residual=seg.unstack(rel(bd, bd_expect).tolist()),
+        alpha_dual_residual=seg.unstack(rel(ad, ad_expect).tolist()),
+        v_parallel_residual=seg.unstack(parallel_resid.tolist()),
+        sign_sigma=seg.unstack(np.where(plus, 1, -1).tolist()),
+        sigma_fit_residual=seg.unstack((np.where(plus, dev_plus, dev_minus) / lam_scale).tolist()),
     )
 
 
@@ -233,7 +233,7 @@ def involution_error(P: FramedPolygon, back: FramedPolygon) -> float:
         seg.peak(np.abs(got - want)) / np.maximum(1.0, seg.peak(np.abs(want)))
         for got, want in ((back.X.values, P.X.values), (back.U.values, P.U.values))
     )
-    return np.maximum(err_x, err_u).tolist()
+    return seg.unstack(np.maximum(err_x, err_u).tolist())
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .cyclic import (
     DEFAULT_TOL,
-    WHOLE,
     NodeSeq,
     Segments,
     ToleranceConfig,
@@ -94,27 +93,23 @@ def _area_centroid(g: np.ndarray, seg: Segments) -> np.ndarray:
     x, y = g[:, 0], g[:, 1]
     xn, yn = g_next[:, 0], g_next[:, 1]
     w = x * yn - xn * y
-    six_area = 6.0 * (0.5 * seg.sums(w))
-    moments = (g + g_next) * w[:, None]
-    return np.array([seg.sums(moments[:, 0]) / six_area, seg.sums(moments[:, 1]) / six_area]).T
+    total = seg.sums(np.array((w, (x + xn) * w, (y + yn) * w)))  # twice the area, and the moments
+    return total[:, 1:] / (6.0 * (0.5 * total[:, :1]))
 
 
 def _layout(ns: list[int]) -> tuple:
-    """How polygons of ``ns`` nodes stack: their segments, each row's (segment, slot) pair, its slot and its n.
+    """How polygons of ``ns`` nodes stack: their segments, where each row goes when padded, its slot and its n.
 
-    One polygon is ``WHOLE``: no pair, its slots ``arange(n)`` and n itself.
+    One stream's polygon stands on its own (``Segments.one``) and fills its padded segment.
     """
     if len(ns) == 1:
-        return WHOLE, None, np.arange(ns[0]), ns[0]
+        return Segments.one(ns[0]), (0, slice(None)), np.arange(ns[0]), ns[0]
     seg = Segments(ns)
-    slot = np.arange(seg.bounds[-1]) - seg.spread(seg.starts)
-    return seg, (np.repeat(np.arange(len(ns)), seg.lengths), slot), slot, seg.spread(seg.lengths)
+    return seg, (seg.owner, seg.slot), seg.slot, seg.spread(seg.lengths)
 
 
 def _padded(a: np.ndarray, seg: Segments, at) -> np.ndarray:
-    """The rows of each segment along axis 1, zero past its end; a whole sequence's rows get a leading axis of one."""
-    if at is None:
-        return a[None]
+    """The rows of each segment along axis 1, zero past its end."""
     out = np.zeros((len(seg.lengths), int(seg.lengths.max()), *a.shape[1:]))
     out[at] = a
     return out
@@ -136,7 +131,7 @@ def _closure_draw(rngs: list, ns: list[int], layout: tuple) -> tuple[np.ndarray,
     dirs[:, 0], dirs[:, 1] = np.cos(theta), np.sin(theta)
     # least-norm correction so the edge vectors sum to zero; a product of
     # one polygon's directions with a vector is taken for that polygon alone
-    if at is None:
+    if len(ns) == 1:
         D = dirs.T
         lengths = lengths[0] - D.T @ np.linalg.solve(D @ D.T, D @ lengths[0])
     else:
@@ -158,7 +153,7 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     times.
 
     The streams' polygons are computed together, stacked in stream order;
-    one stream is the ``WHOLE`` case.  Every polygon gets the bits its
+    one stream's polygon stands on its own.  Every polygon gets the bits its
     stream gives it on its own: the work is elementwise, on a stack of
     2x2 systems (the solves), on stacks padded with zero rows where that
     changes no bit (the Gram matrices, the cumulative sums), or polygon by
@@ -169,7 +164,7 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     """
     layout = _layout(ns)
     dirs, lengths, short = _closure_draw(rngs, ns, layout)
-    redraw = short.reshape(-1).nonzero()[0].tolist()
+    redraw = np.flatnonzero(short).tolist()
     for _ in range(999):  # up to 1000 draws per stream
         if not redraw:
             break
@@ -178,7 +173,7 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
         ends = np.cumsum(ns)
         rows = np.concatenate([np.arange(ends[i] - ns[i], ends[i]) for i in redraw])
         dirs[rows], lengths[rows] = d, l
-        redraw = [redraw[j] for j in short.reshape(-1).nonzero()[0].tolist()]
+        redraw = [redraw[j] for j in np.flatnonzero(short).tolist()]
     closed = [True] * len(ns)
     for i in redraw:
         closed[i] = False
@@ -192,9 +187,9 @@ def _convex_from_rng(rngs: list, ns: list[int]) -> tuple[np.ndarray | None, Segm
     steps = _padded(lengths[:, None] * dirs, seg, at)
     pts = np.zeros(steps.shape)
     steps[:, :-1].cumsum(axis=1, out=pts[:, 1:])
-    pts = pts[0] if at is None else pts[at]
+    pts = pts[at]
     pts = pts - seg.spread(_area_centroid(pts, seg))
-    radius = seg.sums(row_norms(pts)) / (ns[0] if at is None else seg.lengths)  # mean vertex radius
+    radius = seg.sums(row_norms(pts)) / seg.lengths  # mean vertex radius
     return pts / seg.spread(radius)[..., None], seg, closed
 
 
@@ -236,7 +231,7 @@ def _radial_rounds(cfgs: list[GenConfig], tol: ToleranceConfig) -> tuple[list, l
         g = NodeSeq.on(gamma, seg)
         X = NodeSeq.on(np.concatenate((gamma * lam[:, None], lam[:, None]), axis=1), seg)
         accepted = _origin_interior(gamma, seg) & _convexity(g, tol)[1] & is_generic(X, tol)
-        for s, (i, ok) in enumerate(zip(drawn, accepted.reshape(-1).tolist())):
+        for s, (i, ok) in enumerate(zip(drawn, accepted.tolist())):
             if ok:
                 found[i] = (g, lam, X, seg.rows(s))
             elif tries < cfgs[i].max_retries:
@@ -305,7 +300,7 @@ def _parallel_field(positions: np.ndarray, edges: np.ndarray, beta0: np.ndarray,
     increments = -b[:, None] * edges
     W = w0 + np.concatenate((np.zeros((1, dim)), np.cumsum(increments[:-1], axis=0)))
     if dim == 3:
-        contrib = np.einsum("ij,ij->i", cross3(positions, WHOLE.next(positions)), W)
+        contrib = np.einsum("ij,ij->i", cross3(positions, Segments.one(n).next(positions)), W)
     else:
         contrib = area2(edges, W)
     top = float(np.abs(contrib).max())
@@ -331,7 +326,7 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
         nodes = NodeSeq(X)
         if not is_generic(nodes, tol):
             continue
-        X_next = WHOLE.next(X)
+        X_next = nodes.segments.next(X)
         edges = X_next - X
         beta0 = area2(X, X_next)  # [X(i), X(i+1), E3], the margin of the vertical field
         W = _parallel_field(X, edges, beta0, rng)
@@ -355,7 +350,7 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
                 continue
         except GeometryError:
             continue
-        edges = WHOLE.next(x) - x
+        edges = Segments.one(cfg.n).next(x) - x
         base = -x  # inward field, curvature 1, beta = [x(i), x(i+1)]
         beta0 = area2(edges, base)
         if np.min(beta0) <= 0.0:
@@ -373,17 +368,18 @@ def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Pl
 def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
     """Radial multipliers mu with unit consecutive edge-vector areas, or None."""
     n = p.shape[0]
-    p_next = WHOLE.next(p)
+    seg = Segments.one(n)
+    p_next = seg.next(p)
     a = area2(p, p_next)
-    b = WHOLE.prev(a)
-    c = area2(WHOLE.prev(p), p_next)
+    b = seg.prev(a)
+    c = area2(seg.prev(p), p_next)
     base = b + a - c  # areas at mu = 1
     if np.min(base) <= 0.0:
         return None
     mu = np.full(n, 1.0 / np.sqrt(np.mean(base)))
 
     def F(m):
-        m_prev, m_next = WHOLE.prev(m), WHOLE.next(m)
+        m_prev, m_next = seg.prev(m), seg.next(m)
         return m * m_next * a + m_prev * m * b - m_prev * m_next * c - 1.0
 
     f = F(mu)
@@ -392,7 +388,7 @@ def _newton_equal_area(p: np.ndarray) -> np.ndarray | None:
             return mu
         J = np.zeros((n, n))
         idx = np.arange(n)
-        mu_prev, mu_next = WHOLE.prev(mu), WHOLE.next(mu)
+        mu_prev, mu_next = seg.prev(mu), seg.next(mu)
         J[idx, (idx - 1) % n] += mu * b - mu_next * c
         J[idx, idx] += mu_next * a + mu_prev * b
         J[idx, (idx + 1) % n] += mu * a - mu_prev * c
@@ -424,7 +420,7 @@ def random_equal_area_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL
             continue
         out = NodeSeq(mu[:, None] * p)
         e = node_diff(out).values
-        areas = area2(e, WHOLE.next(e))
+        areas = area2(e, out.segments.next(e))
         if np.max(np.abs(areas - 1.0)) <= 1e-12:
             return out
     raise GenerationFailed(f"no equal-area polygon after {cfg.max_retries} tries")

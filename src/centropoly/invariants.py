@@ -29,7 +29,6 @@ import numpy as np
 
 from .cyclic import (
     DEFAULT_TOL,
-    WHOLE,
     EdgeSeq,
     NodeSeq,
     Segments,
@@ -88,11 +87,6 @@ def _tangential_verdict(fit: tuple, seg: Segments, tol: ToleranceConfig) -> np.n
             f"(residual {resid[row]:.3e} > bound {tol.tol_residual * scale[row]:.3e})"
         ).at(s)
     return fit[0]
-
-
-def tangential_ratio(df: np.ndarray, dg: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Extract b with df = -b dg slotwise, or raise NotParallel."""
-    return _tangential_verdict(_tangential_fit(df, dg), WHOLE, tol)
 
 
 def _alpha_values(r: np.ndarray, seg: Segments) -> np.ndarray:
@@ -262,7 +256,7 @@ def delta(poly) -> EdgeSeq:
 def is_generic(poly, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when every Delta has a strict sign under the dead-band; a stack gives one verdict per segment."""
     seg = poly.segments
-    return (~seg.max(seg.signs(_delta_of(poly), tol) == 0)).tolist()
+    return seg.unstack((~seg.max(seg.signs(_delta_of(poly), tol) == 0)).tolist())
 
 
 def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
@@ -288,7 +282,7 @@ def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
             | seg.max(signs == 0)
         )
         lam_nodes = seg.nodes_after(seg.flips(signs))
-        for s, (skipped, want, got) in enumerate(zip(np.ravel(skip).tolist(), nodes, lam_nodes)):
+        for s, (skipped, want, got) in enumerate(zip(skip.tolist(), nodes, lam_nodes)):
             if not skipped and got != want:
                 raise IdentityCheckFailed(
                     f"flattening sets disagree: Delta {want} vs lambda' {got}"
@@ -372,7 +366,7 @@ def delta_identity_residual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     lam = _lambda_values(P, tol)
     rhs = (seg.next(lam) - lam) * P.alpha_values * seg.next(P.alpha_values)
     scale = np.maximum(np.maximum(seg.max(np.abs(lhs)), seg.max(np.abs(rhs))), 1.0)
-    return (seg.max(np.abs(lhs - rhs)) / scale).tolist()
+    return seg.unstack((seg.max(np.abs(lhs - rhs)) / scale).tolist())
 
 
 def is_equal_volume(X: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -25,9 +25,9 @@ import numpy as np
 
 from .cyclic import (
     DEFAULT_TOL,
-    WHOLE,
     EdgeSeq,
     NodeSeq,
+    Segments,
     ToleranceConfig,
     area2,
     as_vec3,
@@ -47,8 +47,8 @@ from .invariants import (
     FramedPolygon,
     _not_tangential,
     _tangential_fit,
+    _tangential_verdict,
     is_constant_curvature,
-    tangential_ratio,
 )
 
 # The vertical constant field E = (0, 0, 1), the dual field of every lifting.
@@ -90,7 +90,7 @@ class PlanarPair:
 
     @cached_property
     def edge_vectors(self) -> np.ndarray:
-        return WHOLE.next(self.x.values) - self.x.values
+        return self.x.segments.next(self.x.values) - self.x.values
 
     @cached_property
     def beta_values(self) -> np.ndarray:
@@ -103,8 +103,9 @@ class PlanarPair:
 
 def planar_curvature(pp: PlanarPair, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq:
     """Edge curvatures of a parallel planar field: u' = -b x'."""
-    du = WHOLE.next(pp.u.values) - pp.u.values
-    return EdgeSeq(tangential_ratio(du, pp.edge_vectors, tol))
+    seg = pp.x.segments
+    du = seg.next(pp.u.values) - pp.u.values
+    return EdgeSeq.on(_tangential_verdict(_tangential_fit(du, pp.edge_vectors), seg, tol), seg)
 
 
 def co_normal(pp: PlanarPair) -> EdgeSeq:
@@ -199,11 +200,12 @@ def unpedal(Y, E, tol: ToleranceConfig = DEFAULT_TOL) -> PlanarPair:
     """
     E = as_vec3(E)
     Yv = Y.values if isinstance(Y, (NodeSeq, EdgeSeq)) else np.asarray(Y, dtype=float)
-    Y_prev = WHOLE.prev(Yv)
+    seg = Segments.one(len(Yv))
+    Y_prev = seg.prev(Yv)
     bd = det3(Y_prev, Yv, np.broadcast_to(E, Yv.shape))
     if np.all(bd < 0.0):
         Yv = Yv[::-1]
-        Y_prev = WHOLE.prev(Yv)
+        Y_prev = seg.prev(Yv)
         bd = det3(Y_prev, Yv, np.broadcast_to(E, Yv.shape))
     if not np.all(bd > 0.0):
         raise NonTransversal("the constant field is not transversal to the polygon")
@@ -259,7 +261,7 @@ def is_convex(poly: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     hit = poly.segments.find(signs == 0)
     if hit is not None:
         raise DegenerateSign("three consecutive nodes are collinear").at(hit[0])
-    return convex.tolist()
+    return poly.segments.unstack(convex.tolist())
 
 
 def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from centropoly import GenConfig, fixtures
+from centropoly import fixtures
 
 
 @pytest.fixture(scope="session")
@@ -22,15 +21,3 @@ def half_square(fx):
 @pytest.fixture(scope="session")
 def hexagon(fx):
     return fx["perturbed_hexagon"]
-
-
-def batch_seed(master: int, index: int) -> list[int]:
-    return [master, index]
-
-
-def draw_n(master: int, index: int, lo: int = 5, hi: int = 50) -> int:
-    return int(np.random.default_rng([master, index, 0]).integers(lo, hi + 1))
-
-
-def batch_cfg(master: int, index: int, lo: int = 5, hi: int = 50, **kw) -> GenConfig:
-    return GenConfig(seed=[master, index, 1], n=draw_n(master, index, lo, hi), **kw)

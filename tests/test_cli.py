@@ -324,6 +324,18 @@ def test_verify_small_run(tmp_path, capsys):
     assert "sigma=+1" in err
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", "."], ids=["missing-directory", "a-directory"])
+def test_verify_rejects_an_unwritable_report_before_generating(where, tmp_path, monkeypatch, capsys):
+    def generating(*args):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(cli, "random_radial_instances", generating)
+    code, out, err = run(capsys, "verify", "--instances", "2", "--report", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert "ValidationError" in err and "cannot write report" in err
+
+
 def test_verify_deterministic_bytes(tmp_path, capsys):
     argv = ["verify", "--instances", "5", "--seed", "2"]
     _, out1, _ = run(capsys, *argv, "--report", str(tmp_path / "a.json"))
@@ -418,7 +430,7 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         prop = cached_property(counted(name, vars(FramedPolygon)[name].func))
         prop.__set_name__(FramedPolygon, name)
         monkeypatch.setattr(FramedPolygon, name, prop)
-    monkeypatch.setattr(cyclic._CyclicSeq, "__init__", counted("wrap", cyclic._CyclicSeq.__init__))
+    monkeypatch.setattr(cyclic, "_as_cyclic_values", counted("wrap", cyclic._as_cyclic_values))
     monkeypatch.setattr(generators, "_convex_from_rng", counted("draw", generators._convex_from_rng))
     assert 50 * 40 <= cli.CHUNK_ROWS  # 50 instances with n <= 40 make one chunk
     for instances in (5, 50):
@@ -429,10 +441,10 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         assert calls.pop("draw") == 1
         # NodeSeq/EdgeSeq are built per chunk, not per instance: by generation
         # (gamma and X for the acceptance tests, the stacked X), where the
-        # battery's stack is assembled (X, the field and its segmented copy)
-        # and where a public function returns one: the dual pair, the
-        # polygon dualized back and the planar parts
-        assert calls.pop("wrap") == 12
+        # battery's stack is assembled (X and the field, on X's segments) and
+        # where a public function returns one: the dual pair, the polygon
+        # dualized back and the planar parts
+        assert calls.pop("wrap") == 11
         # per chunk, the curvature is fitted for (X, U), for its dual and for the planar parts
         assert calls == {
             "fit": 3, "osculating_dets": 1, "lambda_values": 1, "delta_values": 1, "dual_pair": 1,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from centropoly import (
     EdgeSeq,
@@ -13,7 +14,7 @@ from centropoly import (
     edge_diff,
     node_diff,
 )
-from centropoly.cyclic import strict_signs
+from centropoly.cyclic import DEFAULT_TOL, Segments, strict_signs
 from centropoly.errors import DegenerateSign
 
 SQUARE = np.array([(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)])
@@ -171,3 +172,64 @@ def test_cyclic_indexing_wraps():
     g = NodeSeq([10.0, 20.0, 30.0])
     assert g[3] == 10.0
     assert g[-1] == 30.0
+
+
+@st.composite
+def stacked_rows(draw):
+    """Segment lengths (1-6 segments of 3-40 rows), rows of 3-vectors and a row mask."""
+    lengths = draw(st.lists(st.integers(3, 40), min_size=1, max_size=6))
+    rows = sum(lengths)
+    return lengths, draw(arrays(float, (rows, 3), elements=finite)), draw(arrays(bool, rows))
+
+
+def split(lengths, a):
+    return np.split(a, np.cumsum(lengths)[:-1])
+
+
+def same(got, want) -> bool:
+    """Equal, and bit for bit where arrays of floats are compared."""
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return type(got) is type(want) and got == want
+
+
+@given(stacked_rows())
+@settings(max_examples=100, deadline=None)
+def test_segment_primitives_match_numpy_on_each_segment(stack):
+    lengths, v, mask = stack
+    seg = Segments(lengths)
+    parts, masks = split(lengths, v), split(lengths, mask)
+    col = v[:, 0]
+    for shift, step in ((seg.next, -1), (seg.prev, 1)):
+        assert same(shift(v), np.concatenate([np.roll(p, step, axis=0) for p in parts]))
+        assert same(shift(col), np.concatenate([np.roll(p[:, 0], step) for p in parts]))
+    assert same(seg.max(v.T), np.array([p.max(axis=0) for p in parts]).T)
+    assert same(seg.peak(v), np.array([p.max() for p in parts]))
+    assert same(seg.spread(np.arange(len(lengths))), np.repeat(np.arange(len(lengths)), lengths))
+    # each sum is added up as numpy adds up that segment's column on its own
+    assert same(seg.sums(col), np.array([np.add.reduce(np.ascontiguousarray(p[:, 0])) for p in parts]))
+    assert same(seg.sums(v.T), np.array([[np.add.reduce(np.ascontiguousarray(c)) for c in p.T] for p in parts]))
+    assert seg.slots(mask) == [np.flatnonzero(m).tolist() for m in masks]
+    assert seg.nodes_after(mask) == [np.flatnonzero(np.roll(m, 1)).tolist() for m in masks]
+    hits = [(s, int(np.argmax(m))) for s, m in enumerate(masks) if m.any()]
+    want = (hits[0][0], hits[0][1], sum(lengths[:hits[0][0]]) + hits[0][1]) if hits else None
+    assert seg.find(mask) == want
+    assert seg.first(np.array([m.any() for m in masks])) == (hits[0][0] if hits else None)
+
+
+@given(st.integers(3, 40).flatmap(lambda n: st.tuples(arrays(float, (n, 3), elements=finite), arrays(bool, n))))
+@settings(max_examples=60, deadline=None)
+def test_a_polygon_on_its_own_is_a_stack_of_one(case):
+    v, mask = case
+    n = len(v)
+    alone, stacked = Segments.one(n), Segments([n])
+    for op in (
+        lambda s: s.next(v), lambda s: s.prev(v), lambda s: s.max(v.T), lambda s: s.peak(v),
+        lambda s: s.spread(np.array([2.5])), lambda s: s.sums(v.T), lambda s: s.slots(mask),
+        lambda s: s.nodes_after(mask), lambda s: s.find(mask), lambda s: s.first(np.array([mask.any()])),
+        lambda s: s.parts(v[:, 0]), lambda s: s.rows(0), lambda s: s.signs(v[:, 0], DEFAULT_TOL),
+    ):
+        assert same(op(alone), op(stacked))
+    assert alone.unstack(["result"]) == "result"
+    assert stacked.unstack(["result"]) == ["result"]
+    assert Segments.one(n) is alone

@@ -8,7 +8,10 @@ Two scans of the syntax trees, with no import of the package:
   that spells it (``monkeypatch.setattr(cli, "dual_of_dual", ...)``,
   ``"generators._convex_from_rng"``);
 - a module of the package other than ``__init__.py`` must use every name
-  it imports.
+  it imports;
+- a helper or fixture defined in ``tests/conftest.py`` must be named
+  somewhere other than ``conftest.py``: a test that takes a parameter of a
+  fixture's name names it.
 
 Dunder names (``__version__``) are protocol and are not scanned.
 """
@@ -21,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "centropoly"
 MODULES = sorted(PACKAGE.glob("*.py"))
+CONFTEST = ROOT / "tests" / "conftest.py"
 
 
 def trees(*dirs: str) -> dict[Path, ast.Module]:
@@ -56,6 +60,11 @@ def named(tree: ast.Module) -> set[str]:
     return found
 
 
+def parameters(tree: ast.Module) -> set[str]:
+    """The parameter names of every function of a module; a test requests a fixture by one."""
+    return {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+
+
 def test_every_module_level_name_is_used():
     everywhere = trees("src", "bench", "tests")
     used = set().union(*map(named, everywhere.values()))  # a definition does not name itself
@@ -75,3 +84,9 @@ def test_every_import_is_used(path):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
     assert sorted(f"line {line}: {name}" for name, line in imported.items() if name not in reads) == []
+
+
+def test_every_conftest_helper_is_used_outside_conftest():
+    others = [tree for path, tree in trees("src", "bench", "tests").items() if path != CONFTEST]
+    used = set().union(*(named(tree) | parameters(tree) for tree in others))
+    assert [name for name in defined(ast.parse(CONFTEST.read_text(encoding="utf-8"))) if name not in used] == []

@@ -26,7 +26,7 @@ from centropoly import (
     vertical_field,
 )
 from centropoly import generators
-from centropoly.cyclic import WHOLE
+from centropoly.cyclic import Segments
 from centropoly.duality import dual_alpha_values, dual_beta_values
 from centropoly.errors import DualityResidual, GenerationFailed
 
@@ -256,7 +256,7 @@ def test_doubly_wound_radial_polygon_has_two_flattenings(monkeypatch):
         verdicts.append(bool(convex))
         return signs, convex
 
-    monkeypatch.setattr(generators, "_convex_from_rng", lambda rngs, ns: (gamma, WHOLE, np.ones(1, dtype=bool)))
+    monkeypatch.setattr(generators, "_convex_from_rng", lambda rngs, ns: (gamma, Segments.one(n), np.ones(1, dtype=bool)))
     monkeypatch.setattr(generators, "_convexity", spied_convexity)
     with pytest.raises(GenerationFailed):
         random_radial_instance(GenConfig(seed=0, n=n, max_retries=3))

@@ -31,7 +31,8 @@ from centropoly.errors import (
     NotLocallyConvex,
     NotParallel,
 )
-from centropoly.invariants import tangential_ratio
+from centropoly.cyclic import Segments
+from centropoly.invariants import _tangential_fit, _tangential_verdict
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -101,10 +102,10 @@ def test_reframed_square_curvature(square):
     assert np.allclose(curvature_b(reframe(square, 1.0, 1.0)).values, -1.0, rtol=0, atol=1e-15)
 
 
-def test_tangential_ratio_rejects_a_zero_increment():
+def test_tangential_verdict_rejects_a_zero_increment():
     dg = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(NotParallel, match="edge slot 1 ") as info:
-        tangential_ratio(-2.0 * dg, dg, DEFAULT_TOL)
+        _tangential_verdict(_tangential_fit(-2.0 * dg, dg), Segments.one(3), DEFAULT_TOL)
     assert "zero" in str(info.value) and "nan" not in str(info.value)
 
 

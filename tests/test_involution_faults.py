@@ -43,7 +43,7 @@ def one_node_scaled(D, tol=None):
     back = dual_of_dual(D)
     seg = D.segments
     Xv = back.X.values.copy()
-    Xv[[0] if seg.starts is None else seg.starts] *= 1.0 + 1e-6
+    Xv[seg.starts] *= 1.0 + 1e-6
     return Pair(NodeSeq.on(Xv, seg), back.U)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from centropoly import (
+    DualReport,
     FramedPolygon,
     GenConfig,
     NodeSeq,
@@ -20,6 +21,7 @@ from centropoly import (
     dual_vertex_edges,
     flattening_nodes,
     is_convex,
+    is_generic,
     planar_vertices,
     planted_coplanar_instance,
     random_framed_polygon,
@@ -101,6 +103,35 @@ def test_an_error_about_a_stack_names_its_segment_with_the_message_of_that_polyg
     # dual_pair checks the far-node relations only where the field is parallel
     D = dual_pair(stacked([framed[0], bent]))
     assert np.array_equal(D.Y.values, np.concatenate([dual_pair(framed[0]).Y.values, dual_pair(bent).Y.values]))
+
+
+def test_a_stack_of_one_gives_the_polygon_result_in_a_list_of_one(radial, framed):
+    # verify stacks a chunk that holds a single instance so (say, with CHUNK_ROWS = 1)
+    for p in (radial[1], framed[2]):
+        P = stacked([p])
+        D, d = dual_pair(P), dual_pair(p)
+        assert np.array_equal(D.Y.values, d.Y.values) and np.array_equal(D.V.values, d.V.values)
+        cases = {
+            "flattening_nodes": (flattening_nodes(P), flattening_nodes(p), list),
+            "dual_vertex_edges": (dual_vertex_edges(D), dual_vertex_edges(d), list),
+            "involution_error": (involution_error(P, dual_of_dual(D)), involution_error(p, dual_of_dual(d)), float),
+            "delta_identity_residual": (delta_identity_residual(P), delta_identity_residual(p), float),
+            "is_generic": (is_generic(P), is_generic(p), bool),
+        }
+        together, alone = dual_invariants(P, D), dual_invariants(p, d)
+        for field in dataclasses.fields(DualReport):
+            kind = int if field.name == "sign_sigma" else float
+            cases[field.name] = (getattr(together, field.name), getattr(alone, field.name), kind)
+        rep, one = coplanarity_concurrency_check(P, D), coplanarity_concurrency_check(p, d)
+        cases["coplanar"] = (rep.coplanar, one.coplanar, tuple)
+        cases["concurrent"] = (rep.concurrent, one.concurrent, tuple)
+        if p is radial[1]:  # the planar parts need the vertical field
+            (y, v), (y1, v1) = dual_planar_parts(D), dual_planar_parts(d)
+            cases["is_convex"] = (is_convex(y), is_convex(y1), bool)
+            cases["planar_vertices"] = (planar_vertices(y, v), planar_vertices(y1, v1), list)
+        for name, (got, want, kind) in cases.items():
+            assert type(want) is kind, name
+            assert got == [want], name
 
 
 def chunk_configs(seed, count, lo, hi, lambda_range):
