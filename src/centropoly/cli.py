@@ -91,7 +91,7 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
         "alpha": _node(alpha(P).values),
         "beta": _edge(beta(P).values),
         "delta": _edge(delta(P).values),
-        "lambda": _node(lambda_coeff(P, tol).values),
+        "lambda": _node(lambda_coeff(P).values),
         "is_generic": is_generic(P, tol),
         "is_equal_volume": is_equal_volume(P.X, tol),
         "is_unimodular": is_unimodular(P, tol),
@@ -208,9 +208,15 @@ def _parse_range(text: str, what: str, number: type) -> tuple:
         raise ValidationError(f"{what} must look like lo..hi, with {number.__name__} bounds") from exc
 
 
+def _gen_config(args, n: int) -> GenConfig:
+    """The GenConfig of --seed and --lambda-range for polygons of n nodes."""
+    if args.seed < 0:
+        raise ValidationError("--seed must be a nonnegative integer")
+    return GenConfig(seed=args.seed, n=n, lambda_range=_parse_range(args.lambda_range, "--lambda-range", float))
+
+
 def cmd_generate(args, tol: ToleranceConfig) -> int:
-    lam_range = _parse_range(args.lambda_range, "--lambda-range", float)
-    cfg = GenConfig(seed=args.seed, n=args.n, lambda_range=lam_range)
+    cfg = _gen_config(args, args.n)
     if args.kind == "planar":
         pp = random_planar_pair(cfg, tol)
         out = {"n": pp.n, "x": pp.x.values.tolist(), "u": pp.u.values.tolist()}
@@ -349,7 +355,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     lo, hi = _parse_range(args.n_range, "--n-range", int)
     if lo < 4 or hi < lo:
         raise ValidationError("--n-range needs 4 <= lo <= hi")
-    lam_range = _parse_range(args.lambda_range, "--lambda-range", float)
+    lam_range = _gen_config(args, lo).lambda_range
     if args.report:
         try:  # before any instance is generated, so an unwritable path costs no run
             open(args.report, "a", encoding="utf-8").close()
@@ -369,30 +375,25 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
             else:
                 live.append(i)
         # An instance whose check raises has that failure recorded and leaves
-        # the stack.  The instances before it and those after it then run as
-        # two stacks, in that order, each recording only the checks not yet
-        # recorded for it.
-        todo = [(live, 0)]
-        while todo:
-            live, recorded = todo.pop()
-            if not live:
-                continue
+        # the stack.  The other instances then run again as one stack,
+        # recording only the checks not yet recorded for them.
+        recorded = 0
+        while live:
             X = stack([chunk[i][1] for i in live])
             try:
                 P = FramedPolygon(X, NodeSeq.on(np.tile(E3, (X.n, 1)), X.segments))
             except GeometryError as exc:  # the polygon of one instance is not valid
-                s = exc.segment
-                found.append((live[s], -1, _failure(chunk[live[s]][0], "generate", exc)))
-                todo += [(live[s + 1:], recorded), (live[:s], recorded)]
+                i = live.pop(exc.segment)
+                found.append((i, -1, _failure(chunk[i][0], "generate", exc)))
                 continue
             got = {"sigma_ref": sigma_ref}
             for c, check in enumerate(battery):
                 try:
                     oks, residuals = check(P, got)
                 except GeometryError as exc:  # the instance's remaining checks do not run
-                    s = exc.segment
-                    found.append((live[s], c, _failure(chunk[live[s]][0], check.__name__, exc)))
-                    todo += [(live[s + 1:], c), (live[:s], c)]
+                    i = live.pop(exc.segment)
+                    found.append((i, c, _failure(chunk[i][0], check.__name__, exc)))
+                    recorded = c
                     break
                 if c < recorded:
                     continue
@@ -406,6 +407,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
                     histogram[len(flats)] = histogram.get(len(flats), 0) + 1
                 if sigma_ref is None:
                     sigma_ref = got["report"].sign_sigma[0]
+                break
         found.sort(key=lambda f: f[:2])
         failures += [f for _, _, f in found]
     report = {

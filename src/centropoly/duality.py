@@ -44,7 +44,6 @@ from .errors import DegenerateSign, DualityResidual, NotGeneric
 from .invariants import (
     FramedPolygon,
     _alpha_values,
-    _lambda_values,
     _not_tangential,
     _tangential_fit,
     _tangential_verdict,
@@ -195,7 +194,7 @@ def dual_invariants(P: FramedPolygon, D: DualPair, tol: ToleranceConfig = DEFAUL
     parallel_resid = seg.max(crossnorm / np.where(denom == 0.0, 1.0, denom))
 
     b_dual = dual_curvature(D, tol)
-    lam = _lambda_values(P, tol)
+    lam = P.lambda_values
     lam_scale = np.maximum(1.0, seg.max(np.abs(lam)))
     dev_plus, dev_minus = seg.max(np.abs(b_dual - lam)), seg.max(np.abs(b_dual + lam))
     plus = dev_plus <= dev_minus

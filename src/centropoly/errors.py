@@ -45,10 +45,6 @@ class DualityResidual(GeometryError):
     """A defining incidence relation of the dual pair failed numerically."""
 
 
-class IdentityCheckFailed(GeometryError):
-    """An internal cross-check identity exceeded its residual tolerance."""
-
-
 class NotPlanarDual(GeometryError):
     """The dual polygon is not planar, so no inverse pedal exists."""
 

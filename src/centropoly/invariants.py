@@ -39,7 +39,6 @@ from .cyclic import (
 )
 from .errors import (
     DegenerateSign,
-    IdentityCheckFailed,
     NonTransversal,
     NotGeneric,
     NotLocallyConvex,
@@ -188,14 +187,9 @@ class FramedPolygon:
         return _delta_values(self.X.values, self.segments)
 
     @cached_property
-    def osculating_dets(self) -> np.ndarray:
-        """[X', X'', X](i) and [X', X'', U](i) in slot i, stacked."""
-        return det3(self.edge_vectors, self.second_diffs, np.array((self.X.values, self.U.values)))
-
-    @cached_property
     def lambda_values(self) -> np.ndarray:
-        """lambda(i) = [X', X'', U] / alpha(i) in slot i, ungated (``lambda_coeff`` gates it)."""
-        return self.osculating_dets[1] / self.alpha_values
+        """lambda(i) = [X', X'', U] / alpha(i) in slot i."""
+        return det3(self.edge_vectors, self.second_diffs, self.U.values) / self.alpha_values
 
     def __repr__(self):
         return f"FramedPolygon(n={self.n})"
@@ -216,28 +210,14 @@ def curvature_b(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq
     return EdgeSeq.on(_tangential_verdict(P.curvature_fit, P.segments, tol), P.segments)
 
 
-def _lambda_misfit(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
-    """Per segment, whether [X', X'', X] fails to reproduce alpha within tol_residual."""
-    den, _ = P.osculating_dets
-    a, seg = P.alpha_values, P.segments
-    return seg.max(np.abs(den - a)) > tol.tol_residual * seg.max(np.abs(a))
-
-
-def _lambda_values(P: FramedPolygon, tol: ToleranceConfig) -> np.ndarray:
-    s = P.segments.first(_lambda_misfit(P, tol))
-    if s is not None:
-        raise IdentityCheckFailed("[X', X'', X] failed to reproduce alpha").at(s)
-    return P.lambda_values
-
-
-def lambda_coeff(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> NodeSeq:
+def lambda_coeff(P: FramedPolygon) -> NodeSeq:
     """Osculating coefficients lambda(i) with [X', X'', -lambda X + U] = 0.
 
-    Solved in closed form as [X', X'', U] / alpha(i); the denominator
-    [X', X'', X] expands to exactly alpha(i), which is re-checked here, so
-    local convexity guarantees well-posedness.
+    Solved in closed form as [X', X'', U] / alpha(i): the denominator
+    [X', X'', X] expands to alpha(i), which local convexity keeps positive,
+    so the division is always well-posed.
     """
-    return NodeSeq.on(_lambda_values(P, tol), P.segments)
+    return NodeSeq.on(P.lambda_values, P.segments)
 
 
 def _delta_of(poly) -> np.ndarray:
@@ -262,32 +242,17 @@ def is_generic(poly, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def flattening_nodes(poly, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
     """Nodes i where Delta(i-1/2) * Delta(i+1/2) < 0.
 
-    Requires a generic polygon.  When the input is a framed polygon with a
-    parallel field, the equivalent criterion through sign changes of
-    lambda' is evaluated as a cross-check, where its own gates pass: lambda
-    reproduces alpha and every lambda' has a strict sign.
+    Requires a generic polygon.  For a parallel field the same nodes are
+    where lambda' changes sign (beta Delta = lambda' alpha(i) alpha(i+1)
+    with alpha, beta > 0); ``delta_identity_residual`` measures that
+    identity, so it is not re-derived here.
     """
     seg = poly.segments
     try:
         flips = seg.sign_flips(_delta_of(poly), tol)
     except DegenerateSign as exc:
         raise NotGeneric(str(exc)).at(exc.segment) from exc
-    nodes = seg.nodes_after(flips)
-    if isinstance(poly, FramedPolygon):
-        lam = poly.lambda_values
-        signs = seg.signs(seg.next(lam) - lam, tol)
-        skip = (
-            _lambda_misfit(poly, tol)
-            | seg.max(_not_tangential(poly.curvature_fit, tol))
-            | seg.max(signs == 0)
-        )
-        lam_nodes = seg.nodes_after(seg.flips(signs))
-        for s, (skipped, want, got) in enumerate(zip(skip.tolist(), nodes, lam_nodes)):
-            if not skipped and got != want:
-                raise IdentityCheckFailed(
-                    f"flattening sets disagree: Delta {want} vs lambda' {got}"
-                ).at(s)
-    return seg.unstack(nodes)
+    return seg.unstack(seg.nodes_after(flips))
 
 
 def vertex_edges(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
@@ -311,26 +276,18 @@ def focal_points(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[F
 
     Positions are taken about the origin (0, 0, 0), like X.  Edges whose
     curvature has no strict sign yield the common direction U(i) instead:
-    the two normal lines are parallel and meet at infinity.
+    the two normal lines are parallel and meet at infinity.  The position
+    equals X(i+1) + U(i+1)/b up to |U' + b X'| / |b|, the residual that the
+    parallelism gate of b already bounds.
     """
     b = _tangential_verdict(P.curvature_fit, P.segments, tol)
-    signs = strict_signs(b, tol)
-    r, u = P.X.values, P.U.values
-    r_next, u_next = P.nodes_next, P.field_next
-    out: list[FocalPoint] = []
-    scale = float(np.max(row_norms(r)) + np.max(row_norms(u)))
-    for k in range(P.n):
-        if signs[k] == 0:
-            out.append(FocalPoint("at_infinity", direction=u[k].copy()))
-            continue
-        e1 = r[k] + u[k] / b[k]
-        e2 = r_next[k] + u_next[k] / b[k]
-        if np.linalg.norm(e1 - e2) > tol.tol_residual * max(scale, np.linalg.norm(e1)):
-            raise IdentityCheckFailed(
-                f"the two focal expressions disagree at edge slot {k}"
-            )
-        out.append(FocalPoint("finite", position=e1))
-    return out
+    finite = strict_signs(b, tol) != 0
+    u = P.U.values.copy()
+    positions = P.X.values + u / np.where(finite, b, 1.0)[:, None]
+    return [
+        FocalPoint("finite", position=p) if f else FocalPoint("at_infinity", direction=d)
+        for f, p, d in zip(finite.tolist(), positions, u)
+    ]
 
 
 def is_constant_curvature(
@@ -363,7 +320,7 @@ def delta_identity_residual(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL
     seg = P.segments
     _tangential_verdict(P.curvature_fit, seg, tol)  # parallelism gate
     lhs = P.beta_values * P.delta_values
-    lam = _lambda_values(P, tol)
+    lam = P.lambda_values
     rhs = (seg.next(lam) - lam) * P.alpha_values * seg.next(P.alpha_values)
     scale = np.maximum(np.maximum(seg.max(np.abs(lhs)), seg.max(np.abs(rhs))), 1.0)
     return seg.unstack((seg.max(np.abs(lhs - rhs)) / scale).tolist())

@@ -195,7 +195,7 @@ def test_criterion_06_flattening_sets_reframing(framed_500):
     rng = np.random.default_rng(99)
     checked = 0
     for P in framed_500:
-        base = flattening_nodes(P)  # cross-checks the lambda' route internally
+        base = flattening_nodes(P)
         assert dual_vertex_edges(dual_pair(P)) == base
         for c in rng.uniform(-1.0, 1.0, 10):
             Q = reframe(P, float(c), 1.0)

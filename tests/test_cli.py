@@ -336,6 +336,27 @@ def test_verify_rejects_an_unwritable_report_before_generating(where, tmp_path, 
     assert "ValidationError" in err and "cannot write report" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(("--seed", "-1"), "--seed"), (("--lambda-range", "2..1"), "lambda_range")],
+    ids=["negative-seed", "empty-lambda-range"],
+)
+def test_verify_rejects_bad_generation_flags_before_opening_the_report(flags, named, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify", "--instances", "2", *flags, "--report", str(path))
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert not path.exists()
+
+
+def test_generate_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "generate", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "ValidationError" in err and "--seed" in err
+
+
 def test_verify_deterministic_bytes(tmp_path, capsys):
     argv = ["verify", "--instances", "5", "--seed", "2"]
     _, out1, _ = run(capsys, *argv, "--report", str(tmp_path / "a.json"))
@@ -426,7 +447,7 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "_tangential_fit", fit)
     for module in (cli, duality):
         monkeypatch.setattr(module, "dual_pair", pair)
-    for name in ("osculating_dets", "lambda_values", "delta_values"):
+    for name in ("lambda_values", "delta_values"):
         prop = cached_property(counted(name, vars(FramedPolygon)[name].func))
         prop.__set_name__(FramedPolygon, name)
         monkeypatch.setattr(FramedPolygon, name, prop)
@@ -446,9 +467,7 @@ def test_verify_computes_each_invariant_once(monkeypatch, capsys):
         # dualized back and the planar parts
         assert calls.pop("wrap") == 11
         # per chunk, the curvature is fitted for (X, U), for its dual and for the planar parts
-        assert calls == {
-            "fit": 3, "osculating_dets": 1, "lambda_values": 1, "delta_values": 1, "dual_pair": 1,
-        }
+        assert calls == {"fit": 3, "lambda_values": 1, "delta_values": 1, "dual_pair": 1}
 
 
 def test_dual_roundtrip_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -60,9 +60,11 @@ VERIFY = [
     ((), ("--instances", "300", "--seed", "5", "--n-range", "5..12"), 0, "8db955c1839348bb"),
     ((), ("--instances", "40", "--seed", "2", "--n-range", "40..120"), 0, "9cf02d5728453b5c"),
     ((), ("--instances", "3", "--lambda-range", "1..1"), 4, "4f47ede6ea4f3053"),
-    (("--tol-residual", "1e-14"), ("--instances", "40", "--seed", "3"), 1, "8225b37344f0e1df"),
+    # no check raises a rounding of alpha as an error: the instances that
+    # did so complete the battery (passes 236 -> 279 and 262 -> 274)
+    (("--tol-residual", "1e-14"), ("--instances", "40", "--seed", "3"), 1, "de69dc3703989afd"),
     (("--tol-sign", "3e-2", "--tol-residual", "1e-14"), ("--instances", "60", "--seed", "4"), 4,
-     "a4ca746229e9b440"),
+     "e0a9b591c21293d9"),
     # instance 12 (n = 5) closes only at its second draw of edge lengths
     ((), ("--seed", "128"), 0, "98aa1549a6eac9ce"),
     # small n makes closure redraws common: 6 of these 300 instances have one

@@ -31,7 +31,7 @@ from centropoly.errors import (
     NotLocallyConvex,
     NotParallel,
 )
-from centropoly.cyclic import Segments
+from centropoly.cyclic import Segments, strict_signs
 from centropoly.invariants import _tangential_fit, _tangential_verdict
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -286,6 +286,46 @@ def test_unit_curvature_focal_points(square):
     for fp in pts:
         assert fp.kind == "finite"
         assert np.allclose(fp.position, [0.0, 0.0, -1.0], rtol=0, atol=1e-12)
+
+
+def test_focal_points_are_where_both_normal_lines_meet():
+    # E(k) = X(k) + U(k)/b is computed from node k alone.  Exactly,
+    # E(k) - (X(k+1) + U(k+1)/b) = -(U' + b X')/b, whose norm is the fit
+    # residual over |b|.  The residual is computed from the rounded U' and
+    # X', and each point from rounded quotients and sums; each of these
+    # roundings is at most a few eps times |X(k)| + |X(k+1)| + (|U(k)| +
+    # |U(k+1)|)/|b|.  4 such units bound their sum (the worst seen is 0.75).
+    eps = np.finfo(float).eps
+    for i in range(200):
+        n = int(np.random.default_rng([19, i, 0]).integers(5, 51))
+        P = random_framed_polygon(GenConfig(seed=[19, i, 1], n=n))
+        b, resid, _ = P.curvature_fit
+        X, U = P.X.values, P.U.values
+        X_next, U_next = P.nodes_next, P.field_next
+        pts = focal_points(P)
+        finite = strict_signs(b) != 0
+        assert [fp.kind == "finite" for fp in pts] == finite.tolist()
+        for k in np.flatnonzero(finite):
+            assert np.array_equal(pts[k].position, X[k] + U[k] / b[k])
+            norms = [np.linalg.norm(v) for v in (X[k], X_next[k], U[k], U_next[k])]
+            slack = 4 * eps * (norms[0] + norms[1] + (norms[2] + norms[3]) / abs(b[k]))
+            far = X_next[k] + U_next[k] / b[k]
+            assert np.linalg.norm(pts[k].position - far) <= resid[k] / abs(b[k]) + slack
+
+
+def test_focal_points_at_infinity_are_the_edges_without_curvature(square):
+    # U moves only along edges 0 and 2 (U' = -X'/4 there) and is constant
+    # along edges 1 and 3, where b is 0 exactly
+    U = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 1.0], [0.5, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    P = FramedPolygon(square.X, NodeSeq(U))
+    b = curvature_b(P).values
+    assert b.tolist() == [0.25, 0.0, 0.25, 0.0]
+    pts = focal_points(P)
+    assert [fp.kind for fp in pts] == ["finite", "at_infinity", "finite", "at_infinity"]
+    for k in (0, 2):
+        assert np.array_equal(pts[k].position, square.X.values[k] + U[k] / 0.25)
+    for k in (1, 3):
+        assert np.array_equal(pts[k].direction, U[k])
 
 
 def closest_meet_residual(points, directions):
