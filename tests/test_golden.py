@@ -69,6 +69,9 @@ VERIFY = [
     ((), ("--seed", "128"), 0, "98aa1549a6eac9ce"),
     # small n makes closure redraws common: 6 of these 300 instances have one
     ((), ("--instances", "300", "--n-range", "4..6", "--seed", "2"), 0, "4f759063b0962991"),
+    # seeds past 32 and 64 bits: numpy splits each into more uint32 words of entropy
+    ((), ("--instances", "50", "--seed", "4294967303"), 0, "0c191be1e838eacd"),
+    ((), ("--instances", "50", "--seed", "18446744073709551617"), 0, "8ceaa3cc3992c8bd"),
 ]
 
 
