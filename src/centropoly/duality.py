@@ -74,9 +74,10 @@ class DualPair:
         return det3(self.segments.prev(Yv), Yv, self.V.values)
 
     @cached_property
-    def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The ``_tangential_fit`` of V' = -b(Y,V) Y'."""
-        return _tangential_fit(*self.increments)
+        Yv, Vv, seg = self.Y.values, self.V.values, self.segments
+        return _tangential_fit(seg.prev(Vv), Vv, seg.prev(Yv), Yv)
 
 
 @dataclass(frozen=True)

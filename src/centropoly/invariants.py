@@ -46,28 +46,44 @@ from .errors import (
 )
 
 
-def _tangential_fit(df: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its scale.
+# The rounding of an increment f(i+1) - f(i) and of the fit is a few eps
+# times the endpoints |f(i)| + |f(i+1)|, not times the increment; 32 eps
+# units leave about twice the steps counted.
+_ROUNDING = 32.0 * float(np.finfo(float).eps)
 
-    The scale |df| + |b| |dg| weighs both factors, so it stays meaningful
-    when single components of dg vanish.  A zero row of dg makes b, and so
-    the residual, NaN in that slot; dividing by NaN there instead of by 0
-    keeps the 0/0 from warning.
+
+def _tangential_fit(f, f_next, g, g_next) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its two scales.
+
+    df = f_next - f and dg = g_next - g.  The scale |df| + |b| |dg| weighs
+    both factors, so it stays meaningful when single components of dg
+    vanish.  The rounding floor ``_ROUNDING`` (|f| + |f_next| + |b| (|g| +
+    |g_next|)) bounds what forming the increments and the fit rounds off,
+    which outgrows any fraction of the scale where an increment is small
+    beside its endpoints.  A zero row of dg makes b, and so the residual,
+    NaN in that slot; dividing by NaN there instead of by 0 keeps the 0/0
+    from warning.
     """
+    df, dg = f_next - f, g_next - g
     dg_sq = np.einsum("ij,ij->i", dg, dg)
     b = -np.einsum("ij,ij->i", df, dg) / np.where(dg_sq == 0.0, np.nan, dg_sq)
-    resid, df_norm, dg_norm = row_norms(np.array((df + b[:, None] * dg, df, dg)))
-    return b, resid, df_norm + np.abs(b) * dg_norm
+    resid, df_norm, dg_norm, f0, f1, g0, g1 = row_norms(np.array((df + b[:, None] * dg, df, dg, f, f_next, g, g_next)))
+    b_abs = np.abs(b)
+    return b, resid, df_norm + b_abs * dg_norm, _ROUNDING * (f0 + f1 + b_abs * (g0 + g1))
+
+
+def _fit_bound(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
+    """Per slot, the bound on a ``_tangential_fit``'s residual: tol_residual times its scale, plus its rounding floor."""
+    return tol.tol_residual * fit[2] + fit[3]
 
 
 def _not_tangential(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
-    """Per slot, whether a ``_tangential_fit``'s residual is not within tol_residual times its scale (NaN is not)."""
-    _, resid, scale = fit
-    return ~(resid <= tol.tol_residual * scale)
+    """Per slot, whether a ``_tangential_fit``'s residual is not within its bound (NaN is not)."""
+    return ~(fit[1] <= _fit_bound(fit, tol))
 
 
 def _tangential_verdict(fit: tuple, seg: Segments, tol: ToleranceConfig) -> np.ndarray:
-    """b of a ``_tangential_fit``, or NotParallel when a residual is not within tol_residual times its scale.
+    """b of a ``_tangential_fit``, or NotParallel when a residual is not within its bound.
 
     A NaN residual, from an edge increment that is zero or whose square is
     out of floating-point range, fails its bound with an error saying so.
@@ -75,15 +91,15 @@ def _tangential_verdict(fit: tuple, seg: Segments, tol: ToleranceConfig) -> np.n
     hit = seg.find(_not_tangential(fit, tol))
     if hit is not None:
         s, k, row = hit
-        _, resid, scale = fit
-        if np.isnan(resid[row]):
+        resid = fit[1][row]
+        if np.isnan(resid):
             raise NotParallel(
                 f"increment at edge slot {k} has no tangential fit "
                 "(the edge increment is zero or out of range)"
             ).at(s)
         raise NotParallel(
             f"increment at edge slot {k} is not tangential "
-            f"(residual {resid[row]:.3e} > bound {tol.tol_residual * scale[row]:.3e})"
+            f"(residual {resid:.3e} > bound {_fit_bound(fit, tol)[row]:.3e})"
         ).at(s)
     return fit[0]
 
@@ -177,9 +193,9 @@ class FramedPolygon:
         return self.segments.next(self.U.values)
 
     @cached_property
-    def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``_tangential_fit`` of U' = -b X': b, |U' + b X'| and |U'| + |b| |X'| per edge slot."""
-        return _tangential_fit(self.field_next - self.U.values, self.edge_vectors)
+    def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The ``_tangential_fit`` of U' = -b X' per edge slot."""
+        return _tangential_fit(self.U.values, self.field_next, self.X.values, self.nodes_next)
 
     @cached_property
     def delta_values(self) -> np.ndarray:

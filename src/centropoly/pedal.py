@@ -103,8 +103,8 @@ class PlanarPair:
 def planar_curvature(pp: PlanarPair, tol: ToleranceConfig = DEFAULT_TOL) -> EdgeSeq:
     """Edge curvatures of a parallel planar field: u' = -b x'."""
     seg = pp.x.segments
-    du = seg.next(pp.u.values) - pp.u.values
-    return EdgeSeq.on(_tangential_verdict(_tangential_fit(du, pp.edge_vectors), seg, tol), seg)
+    u, x = pp.u.values, pp.x.values
+    return EdgeSeq.on(_tangential_verdict(_tangential_fit(u, seg.next(u), x, seg.next(x)), seg, tol), seg)
 
 
 def co_normal(pp: PlanarPair) -> EdgeSeq:
@@ -270,7 +270,7 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
     flattening node labels of a source spatial polygon under duality.
     """
     seg = y.segments
-    fit = _tangential_fit(seg.next(v.values) - v.values, seg.next(y.values) - y.values)  # v' = -b y'
+    fit = _tangential_fit(v.values, seg.next(v.values), y.values, seg.next(y.values))  # v' = -b y'
     hit = seg.find(_not_tangential(fit, tol))
     if hit is not None:
         raise NotExact("the field is not exact with respect to the polygon").at(hit[0])

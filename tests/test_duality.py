@@ -263,6 +263,15 @@ def test_doubly_wound_radial_polygon_has_two_flattenings(monkeypatch):
     assert verdicts == [False] * 3
 
 
+def test_dual_curvature_near_zero_keeps_the_correspondence():
+    # instance [1003, 94587] of verify: b(Y,V) = 4.3e-8 at dual edge 0, where
+    # |V'| = 1.0e-8 beside |V| = 2.94, so V' rounds by more than tol_residual
+    # times |V'|; the dual's tangential verdict raised NotParallel there
+    X = random_radial_instance(GenConfig(seed=[1003, 94587, 1], n=37)).X
+    P = FramedPolygon(X, vertical_field(37))
+    assert dual_vertex_edges(dual_pair(P)) == flattening_nodes(P)
+
+
 def test_vertex_flattening_correspondence_random():
     # the other half of the correspondence: vertex edges of (X, U) are the
     # flattening nodes of the dual polygon Y, with no index shift

@@ -104,9 +104,32 @@ def test_reframed_square_curvature(square):
 
 def test_tangential_verdict_rejects_a_zero_increment():
     dg = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    zero = np.zeros_like(dg)
     with pytest.raises(NotParallel, match="edge slot 1 ") as info:
-        _tangential_verdict(_tangential_fit(-2.0 * dg, dg), Segments.one(3), DEFAULT_TOL)
+        _tangential_verdict(_tangential_fit(zero, -2.0 * dg, zero, dg), Segments.one(3), DEFAULT_TOL)
     assert "zero" in str(info.value) and "nan" not in str(info.value)
+
+
+def test_a_parallel_field_with_curvature_near_zero_is_parallel():
+    # U' is formed from endpoints much larger than it where b is near 0, so
+    # its rounding, a few eps times |U|, outgrows tol_residual times |U'|:
+    # these raised NotParallel when the bound had no rounding floor
+    curvature_b(random_framed_polygon(GenConfig(seed=1922960451, n=363)))  # raised at edge slot 221
+    for i in range(200):
+        n = int(np.random.default_rng([19, i, 0]).integers(5, 51))
+        P = random_framed_polygon(GenConfig(seed=[19, i, 1], n=n))
+        focal_points(reframe(P, float(curvature_b(P).values[0]), 1.0))  # b(0) about 0; 193 raised
+
+
+def test_a_planted_field_error_is_caught_beside_the_rounding_floor():
+    P = random_framed_polygon(GenConfig(seed=1000, n=1000))
+    curvature_b(P)
+    for k in (0, 500, 999):  # U(k) moved: the first edge slot it ends or starts fails
+        for axis in range(3):
+            U = P.U.values.copy()
+            U[k, axis] += 1e-6
+            with pytest.raises(NotParallel, match=f"edge slot {max(k - 1, 0)} "):
+                curvature_b(FramedPolygon(P.X, NodeSeq(U)))
 
 
 def test_single_node_perturbation_is_not_parallel(square):
@@ -299,7 +322,7 @@ def test_focal_points_are_where_both_normal_lines_meet():
     for i in range(200):
         n = int(np.random.default_rng([19, i, 0]).integers(5, 51))
         P = random_framed_polygon(GenConfig(seed=[19, i, 1], n=n))
-        b, resid, _ = P.curvature_fit
+        b, resid, _, _ = P.curvature_fit
         X, U = P.X.values, P.U.values
         X_next, U_next = P.nodes_next, P.field_next
         pts = focal_points(P)
