@@ -9,6 +9,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .generators import (
     GenConfig,
+    default_rngs,
     random_equal_volume_polygon,
     random_framed_polygon,
     random_planar_pair,
@@ -310,6 +312,8 @@ def _verify_battery(tol: ToleranceConfig):
 # polygon rows (one instance at least) and runs each check once per chunk:
 # numpy's per-call overhead, not arithmetic, is the cost at these sizes.
 CHUNK_ROWS = 2048
+# the streams that draw the instances' n are seeded this many at a time
+SEED_BLOCK = 1024
 
 
 def _verify_chunks(args, lo: int, hi: int, lam_range: tuple, tol: ToleranceConfig):
@@ -321,15 +325,17 @@ def _verify_chunks(args, lo: int, hi: int, lam_range: tuple, tol: ToleranceConfi
     instances too.
     """
     wheres, cfgs, rows = [], [], 0
-    for index in range(args.instances):
-        seed = [args.seed, index]
-        n = int(np.random.default_rng(seed + [0]).integers(lo, hi + 1))
-        if cfgs and rows + n > CHUNK_ROWS:
-            yield _generate_chunk(wheres, cfgs, tol)
-            wheres, cfgs, rows = [], [], 0
-        wheres.append({"seed": seed, "n": n})
-        cfgs.append(GenConfig(seed=seed + [1], n=n, lambda_range=lam_range))
-        rows += n
+    for start in range(0, args.instances, SEED_BLOCK):
+        indices = range(start, min(start + SEED_BLOCK, args.instances))
+        for index, rng in zip(indices, default_rngs([[args.seed, i, 0] for i in indices])):
+            seed = [args.seed, index]
+            n = int(rng.integers(lo, hi + 1))
+            if cfgs and rows + n > CHUNK_ROWS:
+                yield _generate_chunk(wheres, cfgs, tol)
+                wheres, cfgs, rows = [], [], 0
+            wheres.append({"seed": seed, "n": n})
+            cfgs.append(GenConfig(seed=seed + [1], n=n, lambda_range=lam_range))
+            rows += n
     if cfgs:
         yield _generate_chunk(wheres, cfgs, tol)
 
@@ -515,9 +521,14 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call of ``main`` in a process; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = ToleranceConfig(tol_sign=args.tol_sign, tol_residual=args.tol_residual)
         return _COMMANDS[args.command](args, tol)

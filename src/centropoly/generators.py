@@ -4,7 +4,12 @@ All randomness flows through numpy's default generator (PCG64 seeded by a
 SeedSequence), which is platform independent; identical configurations give
 bit-identical instances.  Batch drivers give each instance its own seeds,
 so batches are order independent: ``verify`` draws instance ``index``'s n
-from ``[seed, index, 0]`` and its polygon from ``[seed, index, 1]``.
+from ``[seed, index, 0]`` and its polygon from ``[seed, index, 1]``.  The
+streams of a batch are seeded together (``default_rngs``): numpy's
+SeedSequence hash runs once over all their seeds, as arrays of uint32
+words, and each stream gets a Generator of its own, with exactly the bits
+``np.random.default_rng`` gives it.  A batch of fewer than eight streams,
+and a seed of more than four uint32 words, takes ``default_rng`` itself.
 
 The convex polygon under each instance is built from edge directions: n
 angles jittered around the regular spacing (gaps bounded away from zero, so
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .cyclic import (
     DEFAULT_TOL,
@@ -69,6 +75,86 @@ class GenConfig:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# numpy's SeedSequence constants (pool size 4).  Its k-th hashmix of the
+# entropy XORs with _MIXING[k] and multiplies by _MIXING[k + 1]; the k-th
+# state word, drawn from pool word k mod 4, likewise with _OUTPUT.
+_MIXING = _powers(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT = _powers(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# below this many streams one default_rng each is cheaper than the hash's
+# fixed cost (about 60 us against 12 us per stream)
+_HASHED_FROM = 8
+
+
+def _hashmix(v: np.ndarray, k: int, m: int) -> np.ndarray:
+    """numpy's hashmix k .. k + m - 1, one per column; uint32 products wrap as numpy's do."""
+    v = (v ^ _MIXING[k:k + m]) * _MIXING[k + 1:k + m + 1]
+    return v ^ (v >> 16)
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of 4 uint32 entropy words.
+
+    An entropy of fewer words is zero-padded to 4, as numpy pads it.
+    """
+    pool = _hashmix(entropy, 0, 4)
+    for src in range(4):  # each pool word is hashed into the other three, in numpy's order
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * _hashmix(pool[:, src:src + 1], 4 + 3 * src, 3)
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    out = (np.tile(pool, 2) ^ _OUTPUT[:8]) * _OUTPUT[1:]
+    # pairs of words read as little-endian uint64, as numpy reads them
+    return (out ^ (out >> 16)).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _entropy_words(seed) -> list[int] | None:
+    """numpy's uint32 entropy words of a nonnegative int or a list of them, zero-padded to 4; None if not 1 to 4."""
+    words = []
+    for v in seed if isinstance(seed, (list, tuple)) else (seed,):
+        if not isinstance(v, int) or v < 0:
+            return None
+        words.append(v & 0xFFFFFFFF)  # lowest word first
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return words + [0] * (4 - len(words)) if 0 < len(words) <= 4 else None
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose PCG64 state words were computed by ``_seed_state``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype):
+        return self.state  # PCG64 asks for 4 uint64 words
+
+
+def default_rngs(seeds: list) -> list[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each of seeds: a Generator of its own with the same bits.
+
+    The seeds' SeedSequence states are hashed together, and PCG64 seeds
+    itself from them.  A seed whose entropy is not 1 to 4 uint32 words (an
+    int past 2^64, a negative one, or another type) takes default_rng, as
+    do all of them when there are few.
+    """
+    if len(seeds) < _HASHED_FROM:
+        return [np.random.default_rng(s) for s in seeds]
+    words = [_entropy_words(s) for s in seeds]
+    state = _seed_state(np.array([w or [0, 0, 0, 0] for w in words], dtype=np.uint32))
+    return [
+        np.random.default_rng(s) if w is None else np.random.Generator(np.random.PCG64(_SeedState(st)))
+        for s, w, st in zip(seeds, words, state)
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,7 +298,7 @@ def _radial_rounds(cfgs: list[GenConfig], tol: ToleranceConfig) -> tuple[list, l
     raised or None, and its instance or None: the round's gamma, lam and X
     with the slice of its rows (all of them when there is one config).
     """
-    rngs = [cfg.rng() for cfg in cfgs]
+    rngs = default_rngs([cfg.seed for cfg in cfgs])
     logs = {r: (np.log(r[0]), np.log(r[1])) for r in {cfg.lambda_range for cfg in cfgs}}
     found: list = [None] * len(cfgs)
     errors: list = [None] * len(cfgs)

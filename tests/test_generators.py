@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random.bit_generator import _coerce_to_uint32_array
 
 from centropoly import (
     FramedPolygon,
@@ -29,6 +30,30 @@ from centropoly.invariants import _alpha_values
 
 
 # the convex polygon is the radial projection gamma of a radial instance
+
+
+def test_seeds_hashed_together_give_the_streams_of_default_rng():
+    # verify's [seed, index, k] for seeds of 1, 2 and 3 uint32 words, int
+    # seeds, and entropy of 4 and 5 words; numpy splits each int into words
+    # lowest first, and more than 4 words take default_rng itself
+    seeds = [[s, i, k] for s in (0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32 + 5, 2**64 - 1, 2**64 + 5)
+             for i in range(250) for k in (0, 1)]
+    seeds += [0, 5, 2**32 + 3, 2**64 + 3, 2**96 + 3, [1, 2, 3, 4], (1, 2, 3, 4, 5), [True, 2]]
+    got = generators.default_rngs(seeds)
+    hashed = [isinstance(g.bit_generator.seed_seq, generators._SeedState) for g in got]
+    assert hashed == [len(_coerce_to_uint32_array(s)) <= 4 for s in seeds]
+    assert 3000 < sum(hashed) < len(seeds)
+    for seed, g in zip(seeds, got):
+        want = np.random.default_rng(seed)
+        assert g.bit_generator.state == want.bit_generator.state
+        assert g.random() == want.random()
+
+
+def test_a_few_seeds_take_default_rng():
+    seeds = [[3, i, 1] for i in range(generators._HASHED_FROM - 1)]
+    got = generators.default_rngs(seeds)
+    assert not any(isinstance(g.bit_generator.seed_seq, generators._SeedState) for g in got)
+    assert [g.bit_generator.state for g in got] == [np.random.default_rng(s).bit_generator.state for s in seeds]
 
 
 def test_convex_polygon_postconditions():

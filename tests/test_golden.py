@@ -144,7 +144,33 @@ CHUNKED = [VERIFY[1], VERIFY[4], VERIFY[5], VERIFY[7]]
 def test_verify_report_does_not_depend_on_chunking(monkeypatch, flags, args, exit_code, want):
     code, text, _ = run(*flags, "verify", *args)
     monkeypatch.setattr(cli, "CHUNK_ROWS", 1)  # one instance per chunk
+    # the n streams seeded 9 at a time, hashed together; a last block of fewer takes default_rng
+    monkeypatch.setattr(cli, "SEED_BLOCK", 9)
     assert run(*flags, "verify", *args)[:2] == (code, text)
+
+
+def test_one_parser_carries_nothing_between_calls(tmp_path):
+    cli._parser.cache_clear()
+    fresh = run("generate")
+    assert cli._parser() is cli._parser()
+    assert run("generate", "--n", "9", "--seed", "5")[1] != fresh[1]
+    assert run("generate") == fresh
+    # a tolerance flag, then the default tolerance
+    for flags, args, exit_code, want in (VERIFY[4], VERIFY[0]):
+        assert run(*flags, "verify", *args)[::2] == (exit_code, want)
+    # an argparse error exits 2 as it does from a parser built for it
+    for argv in (["verify", "--instances", "x"], ["nonsense"], ["--tol-sign"]):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        assert exc.value.code == 2
+    # --report, then no report: the second run writes no file
+    flags, args, exit_code, want = VERIFY[0]
+    report = tmp_path / "r.json"
+    assert run("verify", *args, "--report", str(report))[::2] == (exit_code, want)
+    report.unlink()
+    assert run("verify", *args)[::2] == (exit_code, want)
+    assert not report.exists()
+    assert run("generate") == fresh
 
 
 # (seed, instances, n range) -> sha256 prefix of the nodes of verify's instances
