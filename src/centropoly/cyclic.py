@@ -327,8 +327,17 @@ def cross3(a, b) -> np.ndarray:
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis; equal to ``np.linalg.norm(v, axis=-1)``."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    """Euclidean norms along the last axis; equal to ``np.linalg.norm(v, axis=-1)``.
+
+    The squares are summed column by column, in order, as numpy's reduction
+    sums so few: the same bits, several times faster than a reduction over
+    a last axis of 2 or 3.
+    """
+    squares = v * v
+    total = squares[..., 0]
+    for k in range(1, v.shape[-1]):
+        total = total + squares[..., k]
+    return np.sqrt(total)
 
 
 def area2(a, b):

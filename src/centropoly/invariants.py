@@ -46,13 +46,13 @@ from .errors import (
 )
 
 
-# The rounding of an increment f(i+1) - f(i) and of the fit is a few eps
-# times the endpoints |f(i)| + |f(i+1)|, not times the increment; 32 eps
-# units leave about twice the steps counted.
+# 32 eps: about twice the rounding steps of forming the increments and the fit
 _ROUNDING = 32.0 * float(np.finfo(float).eps)
 
 
-def _tangential_fit(f, f_next, g, g_next) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _tangential_fit(
+    f: np.ndarray, f_next: np.ndarray, g: np.ndarray, g_next: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its two scales.
 
     df = f_next - f and dg = g_next - g.  The scale |df| + |b| |dg| weighs
@@ -67,13 +67,14 @@ def _tangential_fit(f, f_next, g, g_next) -> tuple[np.ndarray, np.ndarray, np.nd
     df, dg = f_next - f, g_next - g
     dg_sq = np.einsum("ij,ij->i", dg, dg)
     b = -np.einsum("ij,ij->i", df, dg) / np.where(dg_sq == 0.0, np.nan, dg_sq)
-    resid, df_norm, dg_norm, f0, f1, g0, g1 = row_norms(np.array((df + b[:, None] * dg, df, dg, f, f_next, g, g_next)))
+    norms = row_norms(np.array((df + b[:, None] * dg, df, dg, f, f_next, g, g_next)))
+    resid, df_norm, dg_norm, f0, f1, g0, g1 = norms
     b_abs = np.abs(b)
     return b, resid, df_norm + b_abs * dg_norm, _ROUNDING * (f0 + f1 + b_abs * (g0 + g1))
 
 
 def _fit_bound(fit: tuple, tol: ToleranceConfig) -> np.ndarray:
-    """Per slot, the bound on a ``_tangential_fit``'s residual: tol_residual times its scale, plus its rounding floor."""
+    """Per slot, the bound on a ``_tangential_fit``'s residual: tol_residual times its scale, plus its floor."""
     return tol.tol_residual * fit[2] + fit[3]
 
 

@@ -14,7 +14,7 @@ from centropoly import (
     edge_diff,
     node_diff,
 )
-from centropoly.cyclic import DEFAULT_TOL, Segments, strict_signs
+from centropoly.cyclic import DEFAULT_TOL, Segments, row_norms, strict_signs
 from centropoly.errors import DegenerateSign
 
 SQUARE = np.array([(1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)])
@@ -125,6 +125,16 @@ def test_det3_and_cross3_agree_bit_for_bit_with_their_formulas_at_any_length(row
     assert np.array_equal(cross3(a, b[0]), np.cross(a, b[0]))
     assert np.array_equal(det3(a, b, c), expansion(a, b, c))
     assert np.array_equal(det3(a, b[0], c[0]), expansion(a, b[0], c[0]))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_row_norms_have_the_bits_of_numpys_norm(width):
+    rng = np.random.default_rng(width)
+    v = rng.standard_normal((2, 3000, width)) * np.exp(rng.uniform(-30.0, 30.0, (2, 3000, width)))
+    v[rng.random(v.shape) < 0.05] = 0.0
+    for w in (v, v[1], v[:, ::-3], np.ascontiguousarray(v.transpose(2, 0, 1)).transpose(1, 2, 0)):
+        assert np.array_equal(row_norms(w), np.linalg.norm(w, axis=-1))
+        assert np.array_equal(row_norms(w), np.sqrt(np.add.reduce(w * w, axis=-1)))
 
 
 def test_sign_of_dead_band():
