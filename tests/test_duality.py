@@ -270,6 +270,9 @@ def test_dual_curvature_near_zero_keeps_the_correspondence():
     X = random_radial_instance(GenConfig(seed=[1003, 94587, 1], n=37)).X
     P = FramedPolygon(X, vertical_field(37))
     assert dual_vertex_edges(dual_pair(P)) == flattening_nodes(P)
+    # a framed polygon whose dual fit raised at dual edge slot 395 (residual 3.966e-15 > bound 9.348e-16)
+    P = random_framed_polygon(GenConfig(seed=1979185871, n=420))
+    assert dual_vertex_edges(dual_pair(P)) == flattening_nodes(P)
 
 
 def test_vertex_flattening_correspondence_random():
