@@ -143,9 +143,9 @@ def default_rngs(seeds: list) -> list[np.random.Generator]:
     """``np.random.default_rng(seed)`` for each of seeds: a Generator of its own with the same bits.
 
     The seeds' SeedSequence states are hashed together, and PCG64 seeds
-    itself from them.  A seed whose entropy is not 1 to 4 uint32 words (an
-    int past 2^64, a negative one, or another type) takes default_rng, as
-    do all of them when there are few.
+    itself from them.  A seed whose entropy is not 1 to 4 uint32 words
+    (``[s, i, k]`` with s past 2^64), or that holds a negative or non-int
+    entry, takes default_rng, as do all of them when there are few.
     """
     if len(seeds) < _HASHED_FROM:
         return [np.random.default_rng(s) for s in seeds]
