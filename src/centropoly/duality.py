@@ -62,22 +62,27 @@ class DualPair:
         return self.Y.segments
 
     @cached_property
+    def prev(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V(i-1/2), Y(i-1/2)) in slot i."""
+        seg = self.segments
+        return seg.prev(self.V.values), seg.prev(self.Y.values)
+
+    @cached_property
     def increments(self) -> tuple[np.ndarray, np.ndarray]:
         """(V'(i), Y'(i)) in slot i, the increments across the dual edges."""
-        Yv, Vv, seg = self.Y.values, self.V.values, self.segments
-        return Vv - seg.prev(Vv), Yv - seg.prev(Yv)
+        V_prev, Y_prev = self.prev
+        return self.V.values - V_prev, self.Y.values - Y_prev
 
     @cached_property
     def beta_values(self) -> np.ndarray:
         """beta(Y,V)(i) = [Y(i-1/2), Y(i+1/2), V(i+1/2)] in slot i."""
-        Yv = self.Y.values
-        return det3(self.segments.prev(Yv), Yv, self.V.values)
+        return det3(self.prev[1], self.Y.values, self.V.values)
 
     @cached_property
     def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The ``_tangential_fit`` of V' = -b(Y,V) Y'."""
-        Yv, Vv, seg = self.Y.values, self.V.values, self.segments
-        return _tangential_fit(seg.prev(Vv), Vv, seg.prev(Yv), Yv)
+        V_prev, Y_prev = self.prev
+        return _tangential_fit(V_prev, self.V.values, Y_prev, self.Y.values, *self.increments)
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,9 @@ def dual_of_dual(D: DualPair) -> FramedPolygon:
     ``involution_error`` compares it with the polygon D came from.
     """
     seg = D.segments
-    Yv, Vv = D.Y.values, D.V.values
+    V_prev, Y_prev = D.prev
     bd = D.beta_values[:, None]
-    Xv, Uv = cross3(np.array((seg.prev(Yv), D.increments[1])), np.array((Yv, seg.prev(Vv)))) / bd
+    Xv, Uv = cross3(np.array((Y_prev, D.increments[1])), np.array((D.Y.values, V_prev))) / bd
     return FramedPolygon(NodeSeq.on(Xv, seg), NodeSeq.on(Uv, seg))
 
 

@@ -26,6 +26,11 @@ order one instance draws, and computes and tests them all as one stack.
 An instance whose draw is rejected draws again in the next round.  Each
 instance has the bits it has when generated on its own (see
 ``_convex_from_rng``).
+
+A framed polygon, and a planar pair, carries a parallel field of
+non-constant curvature.  The curvature is a normal draw projected onto the
+closure kernel sum b(k) X'(k) = 0 in O(n), by one 3x3 (2x2 for a planar
+pair) solve with the edge vectors (``_parallel_field``).
 """
 
 from __future__ import annotations
@@ -356,26 +361,38 @@ def random_radial_instances(
     return (stack(rows) if rows else None), errors
 
 
-def _tangent_kernel(edges: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of curvature sequences b with sum b(k) X'(k) = 0."""
-    _, s, vt = np.linalg.svd(edges.T, full_matrices=True)
-    rank = int((s > 1e-12 * s[0]).sum())
-    return vt[rank:].T
+def _check_kernel(n: int, dim: int, kind: str) -> None:
+    """ValueError unless n nodes in dim dimensions leave a non-constant curvature in the closure kernel."""
+    if n <= dim + 1:
+        raise ValueError(
+            f"a {kind} needs at least {dim + 2} nodes: at n = {n} closure leaves only constant "
+            "curvature, so no parallel field has a non-constant one"
+        )
+
+
+def _closure_projection(edges: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z - E (E^T E)^-1 E^T z: the part of z in the kernel of sum z(k) E(k), for edge rows E that span the space."""
+    return z - edges @ np.linalg.solve(edges.T @ edges, edges.T @ z)
 
 
 def _parallel_field(positions: np.ndarray, edges: np.ndarray, beta0: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray | None:
     """A non-constant parallel perturbation of a constant transversal field.
 
-    Draws a curvature sequence from the closure kernel plus a random constant,
-    integrates it into a field increment W, and caps the amplitude so every
-    edge keeps at least half of the base transversality margin.
+    Draws a curvature sequence z, projects it onto the closure kernel
+    sum b(k) X'(k) = 0 as z - E (E^T E)^-1 E^T z, with E the n x dim
+    matrix of edge vectors, adds a random constant, integrates it into a
+    field increment W, and caps the amplitude so every edge keeps at least
+    half of the base transversality margin.  The solve is dim x dim and
+    needs edges that span the space: a generic polygon's three consecutive
+    edges are independent (Delta has a strict sign), and a convex planar
+    polygon's edges span the plane.  With n <= dim there is no such kernel
+    draw, and the result is None.
     """
     n, dim = edges.shape
-    kernel = _tangent_kernel(edges)
-    if kernel.shape[1] == 0:
+    if n <= dim:
         return None
-    raw = kernel @ (kernel.T @ rng.standard_normal(n))
+    raw = _closure_projection(edges, rng.standard_normal(n))
     wiggle = raw - raw.mean()
     peak = np.abs(wiggle).max()
     if peak < 1e-8:
@@ -400,9 +417,15 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
     """A generic framed polygon whose parallel field has non-constant curvature.
 
     The polygon is a random radial instance; the field is the vertical
-    constant plus a kernel-sampled parallel perturbation kept inside the
-    transversality margin, so construction never fails validation.
+    constant plus a parallel perturbation, whose curvature is a draw
+    projected onto the closure kernel, kept inside the transversality
+    margin, so construction never fails validation.  The polygon is
+    generic before the field is drawn, so its edges span space and the
+    projection is well posed.  Closure leaves a non-constant curvature only
+    from n = 5 on (the kernel has dimension n - 3), so a smaller n raises
+    ValueError before any draw.
     """
+    _check_kernel(cfg.n, 3, "framed polygon")
     rng = cfg.rng()
     lo, hi = cfg.lambda_range
     for _ in range(cfg.max_retries):
@@ -427,7 +450,14 @@ def random_framed_polygon(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 
 def random_planar_pair(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> PlanarPair:
-    """A convex planar polygon with a random parallel field of non-constant curvature."""
+    """A convex planar polygon with a random parallel field of non-constant curvature.
+
+    The polygon is convex before the field is drawn, so its edges span the
+    plane.  Closure leaves a non-constant curvature only from n = 4 on (the
+    kernel has dimension n - 2), so a smaller n raises ValueError before
+    any draw.
+    """
+    _check_kernel(cfg.n, 2, "planar pair")
     rng = cfg.rng()
     for _ in range(cfg.max_retries):
         x = _convex_polygon(rng, cfg.n)

@@ -51,11 +51,12 @@ _ROUNDING = 32.0 * float(np.finfo(float).eps)
 
 
 def _tangential_fit(
-    f: np.ndarray, f_next: np.ndarray, g: np.ndarray, g_next: np.ndarray
+    f: np.ndarray, f_next: np.ndarray, g: np.ndarray, g_next: np.ndarray, df: np.ndarray, dg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its two scales.
 
-    df = f_next - f and dg = g_next - g.  The scale |df| + |b| |dg| weighs
+    df = f_next - f and dg = g_next - g are the caller's, formed from the
+    endpoints it passes, so no caller forms an increment twice.  The scale |df| + |b| |dg| weighs
     both factors, so it stays meaningful when single components of dg
     vanish.  The rounding floor ``_ROUNDING`` (|f| + |f_next| + |b| (|g| +
     |g_next|)) bounds what forming the increments and the fit rounds off,
@@ -64,7 +65,6 @@ def _tangential_fit(
     NaN in that slot; dividing by NaN there instead of by 0 keeps the 0/0
     from warning.
     """
-    df, dg = f_next - f, g_next - g
     dg_sq = np.einsum("ij,ij->i", dg, dg)
     b = -np.einsum("ij,ij->i", df, dg) / np.where(dg_sq == 0.0, np.nan, dg_sq)
     norms = row_norms(np.array((df + b[:, None] * dg, df, dg, f, f_next, g, g_next)))
@@ -163,12 +163,17 @@ class FramedPolygon:
                 raise NotLocallyConvex(
                     f"alpha is not positive at node slot {int(np.argmin(a[seg.rows(s)]))}"
                 ).at(s)
+        self._frame(X, U, seg.next(r), a)
+
+    def _frame(self, X: NodeSeq, U: NodeSeq, r_next: np.ndarray, a: np.ndarray) -> None:
+        """Take oriented X, with X(k+1) and alpha, and U on X's segments; NonTransversal unless beta > 0."""
+        seg = X.segments
         self.X = X
         self.U = U
         self.segments = seg
-        self.nodes_next = r_next = seg.next(r)
+        self.nodes_next = r_next
         self.alpha_values = a
-        self.beta_values = b = det3(r, r_next, U.values)
+        self.beta_values = b = det3(X.values, r_next, U.values)
         if not b.min() > 0.0:
             s = seg.find(~(b > 0.0))[0]
             raise NonTransversal(f"beta is not positive at edge slot {int(np.argmin(b[seg.rows(s)]))}").at(s)
@@ -196,7 +201,8 @@ class FramedPolygon:
     @cached_property
     def curvature_fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The ``_tangential_fit`` of U' = -b X' per edge slot."""
-        return _tangential_fit(self.U.values, self.field_next, self.X.values, self.nodes_next)
+        u, u_next = self.U.values, self.field_next
+        return _tangential_fit(u, u_next, self.X.values, self.nodes_next, u_next - u, self.edge_vectors)
 
     @cached_property
     def delta_values(self) -> np.ndarray:
@@ -210,6 +216,10 @@ class FramedPolygon:
 
     def __repr__(self):
         return f"FramedPolygon(n={self.n})"
+
+
+# the cached arrays of a FramedPolygon that depend on X alone
+_X_ONLY = ("edge_vectors", "second_diffs", "delta_values")
 
 
 def alpha(P: FramedPolygon) -> NodeSeq:
@@ -359,9 +369,14 @@ def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
     """Replace U by c X + d U.
 
     Parallelism is preserved and the curvature transforms as b -> d b - c;
-    d must be positive to keep the field transversal.
+    d must be positive to keep the field transversal.  X is kept, so the
+    result takes P's alpha and X(k+1), and whichever arrays of X alone P
+    has cached, instead of forming them again: the same bits.
     """
     if d <= 0.0:
         raise NonTransversal("reframing needs a positive coefficient on U")
-    U = NodeSeq(c * P.X.values + d * P.U.values)
-    return FramedPolygon(P.X, U)
+    out = object.__new__(FramedPolygon)
+    # X is P's, so alpha, X(k+1) and the arrays of X alone that P has cached carry over
+    out.__dict__.update({k: v for k, v in P.__dict__.items() if k in _X_ONLY})
+    out._frame(P.X, NodeSeq.on(c * P.X.values + d * P.U.values, P.segments), P.nodes_next, P.alpha_values)
+    return out

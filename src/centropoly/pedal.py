@@ -104,7 +104,9 @@ def planar_curvature(pp: PlanarPair, tol: ToleranceConfig = DEFAULT_TOL) -> Edge
     """Edge curvatures of a parallel planar field: u' = -b x'."""
     seg = pp.x.segments
     u, x = pp.u.values, pp.x.values
-    return EdgeSeq.on(_tangential_verdict(_tangential_fit(u, seg.next(u), x, seg.next(x)), seg, tol), seg)
+    u_next, x_next = seg.next(u), seg.next(x)
+    fit = _tangential_fit(u, u_next, x, x_next, u_next - u, x_next - x)
+    return EdgeSeq.on(_tangential_verdict(fit, seg, tol), seg)
 
 
 def co_normal(pp: PlanarPair) -> EdgeSeq:
@@ -270,7 +272,9 @@ def planar_vertices(y: NodeSeq, v: NodeSeq, tol: ToleranceConfig = DEFAULT_TOL) 
     flattening node labels of a source spatial polygon under duality.
     """
     seg = y.segments
-    fit = _tangential_fit(v.values, seg.next(v.values), y.values, seg.next(y.values))  # v' = -b y'
+    vv, yv = v.values, y.values
+    v_next, y_next = seg.next(vv), seg.next(yv)
+    fit = _tangential_fit(vv, v_next, yv, y_next, v_next - vv, y_next - yv)  # v' = -b y'
     hit = seg.find(_not_tangential(fit, tol))
     if hit is not None:
         raise NotExact("the field is not exact with respect to the polygon").at(hit[0])

@@ -55,6 +55,26 @@ def test_analyze_hexagon_flattenings(docs, capsys):
     assert data["flattenings"] == [0, 2, 4, 5]
 
 
+@pytest.mark.parametrize("kind, n, smallest", [("framed", 4, 5), ("framed", 3, 5), ("planar", 3, 4)])
+def test_generate_refuses_a_size_with_no_nonconstant_parallel_field_before_any_draw(
+    kind, n, smallest, monkeypatch, capsys
+):
+    # closure leaves only constant curvature below `smallest` nodes
+    streams = Counter()
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        streams["default_rng"] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    code, out, err = run(capsys, "generate", "--kind", kind, "--n", str(n))
+    assert (code, out, streams["default_rng"]) == (2, "", 0)
+    assert "ValueError" in err and "constant" in err
+    code, out, _ = run(capsys, "generate", "--kind", kind, "--n", str(smallest))
+    assert code == 0 and json.loads(out)["n"] == smallest and streams["default_rng"] > 0
+
+
 def test_analyze_rejects_bad_field_length(docs, tmp_path, capsys):
     doc = json.loads(Path(docs["square"]).read_text())
     doc["field"] = doc["field"][:-1]

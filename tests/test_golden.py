@@ -17,13 +17,17 @@ from centropoly import GenConfig, cli, random_radial_instance
 from centropoly.cyclic import DEFAULT_TOL
 from centropoly.documents import dump_json
 
+# the framed and planar fields' curvature is a draw projected onto the
+# closure kernel by a 3x3 (planar: 2x2) solve, which agrees with the
+# projection through an n x n SVD basis only to rounding: every framed and
+# planar value moved once with it, and no radial or equal-volume one
 GENERATE = {
-    "framed": (("--kind", "framed", "--n", "12", "--seed", "7"), "97af493277058284"),
+    "framed": (("--kind", "framed", "--n", "12", "--seed", "7"), "b014df8373e1ad74"),
     "radial": (("--kind", "radial", "--n", "12", "--seed", "7"), "ef6d06dbc970e6fd"),
     "equal-volume": (("--kind", "equal-volume", "--n", "10", "--seed", "7"), "157da6dace3e8953"),
-    "planar": (("--kind", "planar", "--n", "12", "--seed", "7"), "a050a12a4b79007d"),
-    "framed-40": (("--kind", "framed", "--n", "40", "--seed", "3"), "4cf8808311bf1d28"),
-    "framed-300": (("--kind", "framed", "--n", "300", "--seed", "11"), "73d4b488485e20e6"),
+    "planar": (("--kind", "planar", "--n", "12", "--seed", "7"), "65d6cdd52fa606c0"),
+    "framed-40": (("--kind", "framed", "--n", "40", "--seed", "3"), "f088e801dc09146b"),
+    "framed-300": (("--kind", "framed", "--n", "300", "--seed", "11"), "03850739ef4e6ce2"),
 }
 
 # the framed document translated by this vector, written with it as its origin
@@ -31,26 +35,26 @@ SHIFT = [0.1, 0.2, 0.3]
 
 # (command, document) -> stdout prefix; every run exits 0
 DOCUMENTS = {
-    ("analyze", "framed"): "57b85fa5e39d1390",
+    ("analyze", "framed"): "de8dc34c1343eb34",
     ("analyze", "radial"): "e417fcd3f15ee1d3",
     ("analyze", "equal-volume"): "8679c28fe15f54eb",
-    ("analyze", "framed-40"): "a9e154d3e4bf79ee",
-    ("analyze", "framed-300"): "a507b9d3b0f0dd0e",
-    ("dual --roundtrip", "framed"): "782d9cc35ba0c905",
+    ("analyze", "framed-40"): "025dcffc219a2247",
+    ("analyze", "framed-300"): "b20a4306da3a9f53",
+    ("dual --roundtrip", "framed"): "e647c85f76d1515b",
     ("dual --roundtrip", "radial"): "305f999cf0d596ee",
     ("dual --roundtrip", "equal-volume"): "15fafb14785d480a",
-    ("dual --roundtrip", "framed-40"): "c88f8f30bfdcf967",
-    ("dual --roundtrip", "framed-300"): "44a0f82518cab371",
-    ("export --with-focal", "framed"): "7b7a98255cbea0b7",
+    ("dual --roundtrip", "framed-40"): "a293556fb6dd1f99",
+    ("dual --roundtrip", "framed-300"): "ba7f792d305b4a20",
+    ("export --with-focal", "framed"): "06960ffbf9003788",
     ("export --with-focal", "radial"): "7d9c8c2a1c5a4964",
     ("export --with-focal", "equal-volume"): "9a4e1b941dd0aa2e",
-    ("export --with-focal", "framed-40"): "3fa1e7c83f899d7c",
-    ("export --with-focal", "framed-300"): "b5a312a5e6ae27cd",
-    ("analyze", "framed-shifted"): "27db73092b443a59",
-    ("dual --roundtrip", "framed-shifted"): "b9aa868938b1ef6e",
-    ("export --with-focal", "framed-shifted"): "d14f3ace1ad802f5",
-    ("pedal", "planar"): "8cb37b8382b44d35",
-    ("pedal --invert", "pedal"): "634065a8a29fd4a9",
+    ("export --with-focal", "framed-40"): "c7bbeb8c59570027",
+    ("export --with-focal", "framed-300"): "2b2b9af75221e2b9",
+    ("analyze", "framed-shifted"): "62052fef1ec88fd1",
+    ("dual --roundtrip", "framed-shifted"): "6c38326a9de8aed2",
+    ("export --with-focal", "framed-shifted"): "99c0d727c3af7bb0",
+    ("pedal", "planar"): "8b7e67569593cc55",
+    ("pedal --invert", "pedal"): "8f97dddb508268d7",
 }
 
 # (global flags, verify flags, exit code, stdout prefix); the last two runs

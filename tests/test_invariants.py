@@ -31,7 +31,7 @@ from centropoly.errors import (
     NotLocallyConvex,
     NotParallel,
 )
-from centropoly.cyclic import Segments, strict_signs
+from centropoly.cyclic import Segments, stack, strict_signs
 from centropoly.invariants import _tangential_fit, _tangential_verdict
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -106,7 +106,7 @@ def test_tangential_verdict_rejects_a_zero_increment():
     dg = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     zero = np.zeros_like(dg)
     with pytest.raises(NotParallel, match="edge slot 1 ") as info:
-        _tangential_verdict(_tangential_fit(zero, -2.0 * dg, zero, dg), Segments.one(3), DEFAULT_TOL)
+        _tangential_verdict(_tangential_fit(zero, -2.0 * dg, zero, dg, -2.0 * dg, dg), Segments.one(3), DEFAULT_TOL)
     assert "zero" in str(info.value) and "nan" not in str(info.value)
 
 
@@ -114,11 +114,42 @@ def test_a_parallel_field_with_curvature_near_zero_is_parallel():
     # U' is formed from endpoints much larger than it where b is near 0, so
     # its rounding, a few eps times |U|, outgrows tol_residual times |U'|:
     # these raised NotParallel when the bound had no rounding floor
-    curvature_b(random_framed_polygon(GenConfig(seed=1922960451, n=363)))  # raised at edge slot 221
+    P = random_framed_polygon(GenConfig(seed=1922960451, n=363))
+    _, resid, scale, _ = P.curvature_fit
+    assert resid[221] > DEFAULT_TOL.tol_residual * scale[221]  # edge slot 221 still needs the floor
+    curvature_b(P)
     for i in range(200):
         n = int(np.random.default_rng([19, i, 0]).integers(5, 51))
         P = random_framed_polygon(GenConfig(seed=[19, i, 1], n=n))
         focal_points(reframe(P, float(curvature_b(P).values[0]), 1.0))  # b(0) about 0; 193 raised
+
+
+def test_reframe_keeps_the_bits_of_a_framed_polygon_built_anew():
+    def one():
+        return random_framed_polygon(GenConfig(seed=4, n=60))
+
+    def two():
+        parts = [random_framed_polygon(GenConfig(seed=[4, i], n=n)) for i, n in enumerate((7, 31))]
+        return FramedPolygon(stack([P.X.values for P in parts]), stack([P.U.values for P in parts]))
+
+    names = ("nodes_next", "alpha_values", "beta_values", "edge_vectors", "second_diffs", "delta_values",
+             "field_next", "lambda_values")
+    x_only = {"edge_vectors", "second_diffs", "delta_values"}
+    for make in (one, two):
+        for cached in (False, True):
+            P = make()
+            if cached:  # flattening_nodes and lambda_coeff leave every array of X alone on P
+                flattening_nodes(P)
+                lambda_coeff(P)
+            for c, d in ((0.3, 1.7), (-1.0, 0.5)):
+                Q = reframe(P, c, d)
+                assert set(vars(Q)) & x_only == (x_only if cached else set())
+                assert Q.alpha_values is P.alpha_values and Q.nodes_next is P.nodes_next
+                assert Q.segments is P.segments and Q.U.segments is P.segments
+                fresh = FramedPolygon(P.X, NodeSeq.on(c * P.X.values + d * P.U.values, P.segments))
+                got = [getattr(Q, name) for name in names] + list(Q.curvature_fit)
+                want = [getattr(fresh, name) for name in names] + list(fresh.curvature_fit)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_a_planted_field_error_is_caught_beside_the_rounding_floor():

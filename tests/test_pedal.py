@@ -232,7 +232,8 @@ def test_constant_field_is_exact():
     y = NodeSeq([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     v = NodeSeq(np.tile([0.3, 0.4], (4, 1)))
     # planar_vertices' fit
-    b, resid, _, _ = _tangential_fit(v.values, np.roll(v.values, -1, 0), y.values, np.roll(y.values, -1, 0))
+    v_next, y_next = np.roll(v.values, -1, 0), np.roll(y.values, -1, 0)
+    b, resid, _, _ = _tangential_fit(v.values, v_next, y.values, y_next, v_next - v.values, y_next - y.values)
     assert np.array_equal(b, np.zeros(4))
     assert not resid.any()
     # so the field passes the exactness gate, and every curvature difference is zero
