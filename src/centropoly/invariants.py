@@ -55,13 +55,14 @@ def _tangential_fit(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The least-squares b with df = -b dg slotwise, the residual |df + b dg| and its two scales.
 
-    df = f_next - f and dg = g_next - g are the caller's, formed from the
-    endpoints it passes, so no caller forms an increment twice.  The scale |df| + |b| |dg| weighs
-    both factors, so it stays meaningful when single components of dg
-    vanish.  The rounding floor ``_ROUNDING`` (|f| + |f_next| + |b| (|g| +
-    |g_next|)) bounds what forming the increments and the fit rounds off,
-    which outgrows any fraction of the scale where an increment is small
-    beside its endpoints.  A zero row of dg makes b, and so the residual,
+    The caller passes the increments df = f_next - f and dg = g_next - g
+    with their endpoints, so an increment it already holds is not formed
+    twice.  The scale |df| + |b| |dg| weighs both factors, so it stays
+    meaningful when single components of dg vanish.  The rounding floor
+    ``_ROUNDING`` (|f| + |f_next| + |b| (|g| + |g_next|)) bounds what
+    forming the increments and the fit rounds off, which outgrows any
+    fraction of the scale where an increment is small beside its
+    endpoints.  A zero row of dg makes b, and so the residual,
     NaN in that slot; dividing by NaN there instead of by 0 keeps the 0/0
     from warning.
     """
@@ -376,7 +377,6 @@ def reframe(P: FramedPolygon, c: float, d: float) -> FramedPolygon:
     if d <= 0.0:
         raise NonTransversal("reframing needs a positive coefficient on U")
     out = object.__new__(FramedPolygon)
-    # X is P's, so alpha, X(k+1) and the arrays of X alone that P has cached carry over
     out.__dict__.update({k: v for k, v in P.__dict__.items() if k in _X_ONLY})
     out._frame(P.X, NodeSeq.on(c * P.X.values + d * P.U.values, P.segments), P.nodes_next, P.alpha_values)
     return out

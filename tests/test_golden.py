@@ -17,10 +17,6 @@ from centropoly import GenConfig, cli, random_radial_instance
 from centropoly.cyclic import DEFAULT_TOL
 from centropoly.documents import dump_json
 
-# the framed and planar fields' curvature is a draw projected onto the
-# closure kernel by a 3x3 (planar: 2x2) solve, which agrees with the
-# projection through an n x n SVD basis only to rounding: every framed and
-# planar value moved once with it, and no radial or equal-volume one
 GENERATE = {
     "framed": (("--kind", "framed", "--n", "12", "--seed", "7"), "b014df8373e1ad74"),
     "radial": (("--kind", "radial", "--n", "12", "--seed", "7"), "ef6d06dbc970e6fd"),
