@@ -16,6 +16,7 @@ import numpy as np
 
 from .cyclic import NodeSeq, ToleranceConfig, stack
 from .documents import (
+    ObjectRows,
     document_nodes,
     document_to_framed,
     dump_json,
@@ -50,13 +51,13 @@ from .generators import (
 )
 from .invariants import (
     FramedPolygon,
+    _focal_rows,
     alpha,
     beta,
     curvature_b,
     delta,
     delta_identity_residual,
     flattening_nodes,
-    focal_points,
     is_constant_curvature,
     is_equal_volume,
     is_generic,
@@ -76,11 +77,25 @@ from .pedal import (
 
 
 def _edge(values) -> dict:
-    return {"indexing": "edge", "values": np.asarray(values).tolist()}
+    return {"indexing": "edge", "values": np.asarray(values, dtype=float)}
 
 
 def _node(values) -> dict:
-    return {"indexing": "node", "values": np.asarray(values).tolist()}
+    return {"indexing": "node", "values": np.asarray(values, dtype=float)}
+
+
+# the two objects of analyze's focal point list, by whether the point is finite
+_FOCAL_SHAPES = (("direction", {"kind": "at_infinity"}), ("position", {"kind": "finite"}))
+
+
+def _obj_vertices(rows: np.ndarray) -> list[str]:
+    """The OBJ vertex lines of an n x 3 float array as one block, none for no rows.
+
+    Every coordinate has 17 significant digits, integral ones included.
+    """
+    if not len(rows):
+        return []
+    return ["\n".join(["v %.17g %.17g %.17g"] * len(rows)) % tuple(rows.ravel().tolist())]
 
 
 def cmd_analyze(args, tol: ToleranceConfig) -> int:
@@ -88,7 +103,7 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
     P = document_to_framed(doc)
     out: dict = {
         "n": P.n,
-        "origin": doc.origin.tolist(),
+        "origin": doc.origin,
         "input_indexing": doc.indexing,
         "alpha": _node(alpha(P).values),
         "beta": _edge(beta(P).values),
@@ -107,16 +122,13 @@ def cmd_analyze(args, tol: ToleranceConfig) -> int:
     out["parallel"] = parallel
     out["b"] = _edge(b.values) if parallel else None
     if parallel:
-        focal = []
-        for fp in focal_points(P, tol):
-            if fp.kind == "finite":
-                focal.append({"kind": "finite", "position": (fp.position + doc.origin).tolist()})
-            else:
-                focal.append({"kind": "at_infinity", "direction": fp.direction.tolist()})
+        finite, rows = _focal_rows(P, tol)
+        rows[finite] += doc.origin
+        focal = ObjectRows(rows, finite.astype(int).tolist(), _FOCAL_SHAPES)
         out["focal_points"] = {"indexing": "edge", "values": focal}
         constant, witness = is_constant_curvature(P, tol)
         out["is_constant_curvature"] = constant
-        out["constant_witness"] = witness.tolist() if witness is not None else None
+        out["constant_witness"] = witness
         try:
             out["vertices"] = vertex_edges(P, tol)
         except GeometryError:
@@ -139,8 +151,8 @@ def cmd_dual(args, tol: ToleranceConfig) -> int:
     out = {
         "dual": {
             "n": D.Y.n,
-            "nodes": D.Y.values.tolist(),
-            "field": D.V.values.tolist(),
+            "nodes": D.Y.values,
+            "field": D.V.values,
             "origin": [0.0, 0.0, 0.0],
             "indexing": "edge",
         },
@@ -186,15 +198,15 @@ def cmd_pedal(args, tol: ToleranceConfig) -> int:
                 raise NotPlanarDual("no constant transversal field exists for this pair")
             E = E_field.mean(axis=0)
         pp = unpedal(nodes, E, tol)
-        out = {"n": pp.n, "x": pp.x.values.tolist(), "u": pp.u.values.tolist()}
+        out = {"n": pp.n, "x": pp.x.values, "u": pp.u.values}
         print(dump_json(out))
         return 0
     pp = parse_planar_document(raw)
     result = cylindrical_pedal(pp, tol)
     out = {
         "n": pp.n,
-        "nodes": result.Y.values.tolist(),
-        "field": vertical_field(pp.n).values.tolist(),
+        "nodes": result.Y.values,
+        "field": vertical_field(pp.n).values,
         "origin": [0.0, 0.0, 0.0],
         "indexing": "edge",
     }
@@ -221,7 +233,7 @@ def cmd_generate(args, tol: ToleranceConfig) -> int:
     cfg = _gen_config(args, args.n)
     if args.kind == "planar":
         pp = random_planar_pair(cfg, tol)
-        out = {"n": pp.n, "x": pp.x.values.tolist(), "u": pp.u.values.tolist()}
+        out = {"n": pp.n, "x": pp.x.values, "u": pp.u.values}
         print(dump_json(out))
         return 0
     if args.kind == "radial":
@@ -311,7 +323,7 @@ def _verify_battery(tol: ToleranceConfig):
 # verify stacks consecutive instances into chunks of at most this many
 # polygon rows (one instance at least) and runs each check once per chunk:
 # numpy's per-call overhead, not arithmetic, is the cost at these sizes.
-CHUNK_ROWS = 2048
+CHUNK_ROWS = 4096
 # the streams that draw the instances' n are seeded this many at a time
 SEED_BLOCK = 1024
 
@@ -441,20 +453,18 @@ def cmd_export(args, tol: ToleranceConfig) -> int:
     if args.format != "obj":
         raise ValidationError(f"unsupported format {args.format!r}")
     lines = [f"# centropoly polygon n={doc.n}", "o polygon"]
-    for row in doc.nodes:
-        lines.append("v " + " ".join(format(c, ".17g") for c in row))
+    lines += _obj_vertices(doc.nodes)
     cycle = " ".join(str(i + 1) for i in range(doc.n))
     lines.append(f"l {cycle} 1")
     if args.with_focal:
         P = document_to_framed(doc)
-        pts = focal_points(P, tol)
-        finite = [fp.position + doc.origin for fp in pts if fp.kind == "finite"]
-        skipped = len(pts) - len(finite)
+        finite, rows = _focal_rows(P, tol)
+        positions = rows[finite] + doc.origin
+        skipped = doc.n - len(positions)
         lines.append("o focal")
-        for pos in finite:
-            lines.append("v " + " ".join(format(c, ".17g") for c in pos))
-        if finite:
-            idx = [str(doc.n + 1 + k) for k in range(len(finite))]
+        lines += _obj_vertices(positions)
+        if len(positions):
+            idx = [str(doc.n + 1 + k) for k in range(len(positions))]
             if skipped == 0:
                 idx.append(str(doc.n + 1))
             lines.append("l " + " ".join(idx))

@@ -308,14 +308,24 @@ def focal_points(P: FramedPolygon, tol: ToleranceConfig = DEFAULT_TOL) -> list[F
     equals X(i+1) + U(i+1)/b up to |U' + b X'| / |b|, the residual that the
     parallelism gate of b already bounds.
     """
+    finite, rows = _focal_rows(P, tol)
+    return [
+        FocalPoint("finite", position=r) if f else FocalPoint("at_infinity", direction=r)
+        for f, r in zip(finite.tolist(), rows)
+    ]
+
+
+def _focal_rows(P: FramedPolygon, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The focal points of P stacked: per edge slot, whether it is finite, and its row.
+
+    The row is the position of a finite point and the direction of one at
+    infinity, as ``focal_points`` gives them.
+    """
     b = _tangential_verdict(P.curvature_fit, P.segments, tol)
     finite = strict_signs(b, tol) != 0
-    u = P.U.values.copy()
+    u = P.U.values
     positions = P.X.values + u / np.where(finite, b, 1.0)[:, None]
-    return [
-        FocalPoint("finite", position=p) if f else FocalPoint("at_infinity", direction=d)
-        for f, p, d in zip(finite.tolist(), positions, u)
-    ]
+    return finite, np.where(finite[:, None], positions, u)
 
 
 def is_constant_curvature(
